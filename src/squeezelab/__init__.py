@@ -25,15 +25,14 @@ from .semiclassical import (ClassicallyForbiddenError, OverlapComparison,
                             OverlapParams, approx_p, area_weight,
                             classical_boundary, interference_phase,
                             overlap_comparison)
-from .special import (SignedLogNumber, hermite, hermite_complex,
-                      hermite_reduction_check, log_factorial)
+from .special import (SignedLogNumber, hermite, hermite_reduction_check,
+                      log_factorial)
 from .squeezed_coherent import (fock_amplitude_scs, momentum_wf_scs,
                                 overlap_coherent, position_wf_scs)
 from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
-                              coherent_amplitude, fock_amplitude,
-                              momentum_density, momentum_wf,
-                              photon_distribution, position_density,
-                              position_wf, q_function, q_grid, q_slice_imag)
+                              coherent_amplitude, fock_amplitude, momentum_wf,
+                              photon_distribution, position_wf, q_function,
+                              q_grid, q_slice_imag)
 from .tables import DistributionTable, GridSpec, TableMeta
 
 __all__ = [
@@ -46,13 +45,12 @@ __all__ = [
     "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
     "classical_boundary", "coherent_amplitude", "default_dim", "exp_biseries",
     "exp_series", "extract_amplitude", "extract_element", "find_maxima",
-    "fock_amplitude", "fock_amplitude_scs", "hermite", "hermite_complex",
+    "fock_amplitude", "fock_amplitude_scs", "hermite",
     "hermite_reduction_check", "identity_kernel", "interference_phase",
-    "log_factorial", "maxima_count_law", "momentum_density",
-    "momentum_density_table", "momentum_wf", "momentum_wf_scs",
-    "momentum_zeros", "oracle_amplitude", "overlap_coherent",
-    "overlap_comparison", "photon_distribution", "photon_number_kernel",
-    "position_density", "position_density_table", "position_wf",
+    "log_factorial", "maxima_count_law", "momentum_density_table",
+    "momentum_wf", "momentum_wf_scs", "momentum_zeros", "oracle_amplitude",
+    "overlap_coherent", "overlap_comparison", "photon_distribution",
+    "photon_number_kernel", "position_density_table", "position_wf",
     "position_wf_scs", "q_function", "q_grid", "q_slice_imag",
     "q_slice_table", "qmax_to_nmax", "slice_proportionality",
     "support_widening", "transformed_number_kernel", "transition_scan",

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .special import hermite
-from .squeezed_number import (SqueezedNumberState, momentum_density,
-                              photon_distribution, position_density,
-                              q_slice_imag)
+from .squeezed_number import (SqueezedNumberState, momentum_wf,
+                              photon_distribution, position_wf, q_slice_imag)
 from .tables import DistributionTable, TableMeta
 
 __all__ = [
@@ -132,7 +131,7 @@ def position_density_table(state: SqueezedNumberState, half_width: float | None 
     q = _uniform_grid(half_width, step)
     meta = TableMeta(state=(state.m, state.r), representation="position",
                      truncation={"step": step, "half_width": half_width})
-    return DistributionTable(q, position_density(q, state), meta)
+    return DistributionTable(q, position_wf(q, state) ** 2, meta)
 
 
 def momentum_density_table(state: SqueezedNumberState, half_width: float | None = None,
@@ -144,7 +143,7 @@ def momentum_density_table(state: SqueezedNumberState, half_width: float | None 
     p = _uniform_grid(half_width, step)
     meta = TableMeta(state=(state.m, state.r), representation="momentum",
                      truncation={"step": step, "half_width": half_width})
-    return DistributionTable(p, momentum_density(p, state), meta)
+    return DistributionTable(p, np.abs(momentum_wf(p, state)) ** 2, meta)
 
 
 def q_slice_table(state: SqueezedNumberState, half_width: float | None = None,
@@ -171,7 +170,7 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
         return np.array([])
     lim = math.sqrt(2.0 * m + 1.0) + 1.0
     grid = np.linspace(-lim, lim, 40 * m + 41)
-    signs = [hermite(m, float(x)).sign for x in grid]
+    signs = np.sign(hermite(m, grid)[0])
     roots = []
     for i in range(len(grid) - 1):
         a, b = grid[i], grid[i + 1]
@@ -183,7 +182,7 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
             continue
         while b - a > tol:
             c = 0.5 * (a + b)
-            sc = hermite(m, c).sign
+            sc = np.sign(hermite(m, c)[0])
             if sc == 0:
                 a = b = c
                 break
@@ -303,14 +302,14 @@ class SliceRatioReport:
 
 
 def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3,
-                          scaling: str = "direct", step: float | None = None) -> SliceRatioReport:
+                          scaling: str = "rescaled", step: float | None = None) -> SliceRatioReport:
     """Measure how far the Husimi slice is from a constant multiple of the
     momentum density.
 
     The window is where the momentum density exceeds ``window_floor`` of
-    its peak.  'rescaled' uses alpha = i p / sqrt(2), the map the README
-    phase-space label alpha = (<q> + i <p>) / sqrt(2) gives; under it the
-    slice is exactly a filtered momentum density,
+    its peak.  'rescaled' (the default) uses alpha = i p / sqrt(2), the map
+    the README phase-space label alpha = (<q> + i <p>) / sqrt(2) gives;
+    under it the slice is exactly a filtered momentum density,
     Q(i p / sqrt(2)) = (2 / sqrt(pi)) |<p| e^{-q^2/2} |m, r>|^2,
     so the oscillation zeros shift only through the filter's smoothing and
     the ratio tends to a constant as the q-width e^{-r} shrinks.  The filter
@@ -327,7 +326,7 @@ def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3
     step = step or 0.01 * math.exp(r)
     p_max = math.exp(r) * (math.sqrt(2.0 * m + 1.0) + 4.0)
     p = step * np.arange(0, int(p_max / step) + 1)
-    dens = momentum_density(p, state)
+    dens = np.abs(momentum_wf(p, state)) ** 2
     mask = dens > window_floor * dens.max()
     pw = p[mask]
     y = math.sqrt(2.0) * pw if scaling == "direct" else pw / math.sqrt(2.0)

@@ -24,7 +24,7 @@ from . import __version__, analysis, verify
 from .semiclassical import OverlapParams, approx_p, classical_boundary
 from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
                               momentum_wf, photon_distribution, position_wf,
-                              q_grid, q_slice_imag, resolve_threads)
+                              q_grid, q_slice_imag)
 from .tables import GridSpec
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def cmd_quad(args) -> int:
         raise UsageError("--min must be below --max")
     coords = np.linspace(lo, hi, args.points)
     wf = momentum_wf if args.kind == "momentum" else position_wf
-    amps = [complex(wf(float(x), state)) for x in coords]
+    amps = np.asarray(wf(coords, state), dtype=complex)
     config = RunConfig("quad", {"kind": args.kind, "m": args.m, "r": args.r,
                                 "min": lo, "max": hi, "points": args.points,
                                 "amplitude": bool(args.amplitude), "format": args.format})
@@ -130,8 +130,7 @@ def cmd_qfunc(args) -> int:
         args.im_min, args.im_max = -lim, lim
     grid = GridSpec(args.re_min, args.re_max, args.im_min, args.im_max,
                     args.n_re, args.n_im)
-    threads = resolve_threads(_threads_from_env())
-    values = q_grid(state, grid, threads=threads)
+    values = q_grid(state, grid)
     re, im = grid.axes()
     config = RunConfig("qfunc", {"m": args.m, "r": args.r, **asdict(grid),
                                  "format": args.format})
@@ -240,16 +239,6 @@ def cmd_verify(args) -> int:
 
 class UsageError(ValueError):
     pass
-
-
-def _threads_from_env() -> int | None:
-    raw = os.environ.get("SQUEEZELAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"SQUEEZELAB_THREADS must be an integer, got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

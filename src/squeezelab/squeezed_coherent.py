@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .special import hermite_complex, log_factorial
+from .special import hermite, log_factorial
 
 __all__ = [
     "overlap_coherent",
@@ -81,38 +81,23 @@ def fock_amplitude_scs(n: int, beta: complex, r: float) -> complex:
 
     Evaluated as
 
-        tanh^{n/2}(r) / sqrt(2^n n! cosh r)
-            * H_n(beta / sqrt(2 sinh r cosh r))
-            * exp(-|beta|^2/2 + tanh(r) beta^2/2)
+        t^{n/2} H_n(x / sqrt t) * exp(-|beta|^2/2 + tanh(r) beta^2/2)
+            / sqrt(n! cosh r),   x = beta / (2 cosh r),  t = tanh(r) / 2,
 
-    with the Hermite factor computed by the rescaled complex recurrence,
-    because H_n at small argument still grows like sqrt(n!) and overflows
-    a plain float near n ~ 300.  At r = 0 the Hermite argument diverges
-    while the product stays finite, so that case dispatches to the plain
-    coherent-state expansion beta^n / sqrt(n!) e^{-|beta|^2/2}.  Negative
-    r works through the principal complex branches: the i^n from
-    tanh^{n/2} cancels against the i^{-(n-2k)} from the Hermite argument
-    term by term.
+    the textbook tanh^{n/2}(r) H_n(beta / sqrt(2 sinh r cosh r)) form with
+    the powers of tanh moved inside the Hermite recurrence.  That keeps
+    it polynomial in tanh r: r = 0 reduces to the coherent-state
+    beta^n / sqrt(n!) e^{-|beta|^2/2} and r < 0 needs no complex branch.
+    The rescaled recurrence keeps n in the hundreds, where H_n at small
+    argument overflows a plain float, in range.
     """
     if n < 0:
         raise ValueError("photon index must be nonnegative")
     beta = complex(beta)
-    if abs(r) < R_EPS:
-        if beta == 0:
-            return 1.0 + 0j if n == 0 else 0.0j
-        logmag = n * math.log(abs(beta)) - 0.5 * log_factorial(n) - 0.5 * abs(beta) ** 2
-        return cmath.exp(complex(logmag, n * cmath.phase(beta)))
-    sh, ch, th = math.sinh(r), math.cosh(r), math.tanh(r)
-    w = beta / cmath.sqrt(complex(2.0 * sh * ch))
-    mant, log_scale = hermite_complex(n, w)
-    if mant == 0:
-        return 0.0j
-    log_amp = (log_scale
-               + 0.5 * n * cmath.log(complex(th))
-               - 0.5 * (n * math.log(2.0) + log_factorial(n))
-               - 0.5 * math.log(ch)
-               - 0.5 * abs(beta) ** 2 + 0.5 * th * beta ** 2)
-    return mant * cmath.exp(log_amp)
+    ch, th = math.cosh(r), math.tanh(r)
+    mant, log_scale = hermite(n, beta / (2.0 * ch), 0.5 * th)
+    return mant * cmath.exp(log_scale - 0.5 * abs(beta) ** 2 + 0.5 * th * beta ** 2
+                            - 0.5 * (log_factorial(n) + math.log(ch)))
 
 
 def position_wf_scs(q: float, beta: float, r: float) -> float:

@@ -1,21 +1,20 @@
 """Closed forms for squeezed number states |m, r>.
 
-Photon amplitudes, position and momentum wave functions, the coherent-basis
-amplitude and the Husimi Q function, all as finite sums evaluated in the
-log domain so they stay meaningful out to photon numbers in the hundreds
-where the interesting oscillation structure lives.
+Photon amplitudes as a finite sum evaluated in the log domain; position
+and momentum wave functions, the coherent-basis amplitude and the Husimi
+Q function through the rescaled Hermite kernel.  Both stay meaningful out
+to photon numbers in the hundreds where the interesting oscillation
+structure lives.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special import SignedLogNumber, hermite, hermite_array, log_factorial
+from .special import SignedLogNumber, hermite, log_factorial
 from .squeezed_coherent import R_EPS
 from .tables import DistributionTable, GridSpec, TableMeta
 
@@ -26,8 +25,6 @@ __all__ = [
     "photon_distribution",
     "position_wf",
     "momentum_wf",
-    "position_density",
-    "momentum_density",
     "coherent_amplitude",
     "coherent_amplitude_grid",
     "q_function",
@@ -151,108 +148,47 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = 1e-10,
     return DistributionTable(coords, probs, meta)
 
 
-def position_wf(q: float, state: SqueezedNumberState) -> float:
+def position_wf(q, state: SqueezedNumberState):
     """<q | m, r>: the Fock-state wave function of the compressed coordinate.
 
     pi^{-1/4} e^{r/2} e^{-e^{2r} q^2 / 2} 2^{-m/2} m!^{-1/2} H_m(e^r q);
-    real valued, and at r = 0 it is the ordinary oscillator eigenfunction.
+    real valued, vectorized over q, and at r = 0 it is the ordinary
+    oscillator eigenfunction.
     """
-    m, r = state.m, state.r
-    h = hermite(m, math.exp(r) * q)
-    if h.sign == 0:
-        return 0.0
-    logmag = (-0.25 * math.log(math.pi) + 0.5 * r
-              - 0.5 * math.exp(2.0 * r) * q * q
-              - 0.5 * m * math.log(2.0) - 0.5 * log_factorial(m)
-              + h.log_mag)
-    return h.sign * math.exp(logmag)
-
-
-def momentum_wf(p: float, state: SqueezedNumberState) -> complex:
-    """<p | m, r>: the same profile stretched by e^r, with an (-i)^m phase.
-
-    e^{-r/2} m!^{-1/2} pi^{-1/4} e^{-e^{-2r} p^2 / 2} 2^{-m/2}
-    (-i)^m H_m(e^{-r} p)
-    """
-    m, r = state.m, state.r
-    h = hermite(m, math.exp(-r) * p)
-    if h.sign == 0:
-        return 0.0j
-    logmag = (-0.25 * math.log(math.pi) - 0.5 * r
-              - 0.5 * math.exp(-2.0 * r) * p * p
-              - 0.5 * m * math.log(2.0) - 0.5 * log_factorial(m)
-              + h.log_mag)
-    return (-1j) ** (m % 4) * h.sign * math.exp(logmag)
-
-
-def position_density(q, state: SqueezedNumberState) -> np.ndarray:
-    """|<q|m,r>|^2 vectorized over an array of positions."""
     m, r = state.m, state.r
     q = np.asarray(q, dtype=float)
-    _, logmag = hermite_array(m, np.exp(r) * q)
-    logdens = (-0.5 * math.log(math.pi) + r
-               - np.exp(2.0 * r) * q * q
-               - m * math.log(2.0) - log_factorial(m)
-               + 2.0 * logmag)
-    return np.exp(logdens)
+    mant, log_scale = hermite(m, math.exp(r) * q)
+    return mant * np.exp(log_scale - 0.5 * math.exp(2.0 * r) * q * q
+                         - 0.25 * math.log(math.pi) + 0.5 * r
+                         - 0.5 * m * math.log(2.0) - 0.5 * log_factorial(m))
 
 
-def momentum_density(p, state: SqueezedNumberState) -> np.ndarray:
-    """|<p|m,r>|^2 vectorized over an array of momenta."""
-    m, r = state.m, state.r
-    p = np.asarray(p, dtype=float)
-    _, logmag = hermite_array(m, np.exp(-r) * p)
-    logdens = (-0.5 * math.log(math.pi) - r
-               - np.exp(-2.0 * r) * p * p
-               - m * math.log(2.0) - log_factorial(m)
-               + 2.0 * logmag)
-    return np.exp(logdens)
+def momentum_wf(p, state: SqueezedNumberState):
+    """<p | m, r> = (-i)^m <q = p | m, -r>: the position profile stretched
+    by e^r instead of compressed, with an (-i)^m phase; vectorized over p.
+    """
+    return (-1j) ** (state.m % 4) * position_wf(p, SqueezedNumberState(state.m, -state.r))
 
 
 def coherent_amplitude_grid(alpha, state: SqueezedNumberState) -> np.ndarray:
     """<alpha | m, r> over an array of phase-space points.
 
-    The finite sum over p,
+    By the Hermite generating function (DLMF 18.12.15) the finite sum over
+    p of 2^{-p} sinh^p(r) cosh^{p-m}(r) alpha*^{m-2p} / ((m-2p)! p!) is
+    t^{m/2} H_m(x / sqrt t) / m! with x = alpha* / (2 cosh r) and
+    t = -tanh(r) / 2, so
 
-        sqrt(m!/cosh r) e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}
-            * sum_p 2^{-p} sinh^p(r) cosh^{p-m}(r)
-                    / ((m-2p)! p!) * alpha*^{m-2p},
+        <alpha|m,r> = t^{m/2} H_m(x / sqrt t)
+                      e^{-|alpha|^2/2 - tanh(r) alpha*^2/2} / sqrt(m! cosh r),
 
-    is accumulated with a streaming max-shift in the log of the term
-    magnitudes (a complex logsumexp), so it stays finite for photon
-    indices far beyond float-factorial range.
+    one rescaled three-term recurrence for every r, sign included.
     """
     m, r = state.m, state.r
-    alpha = np.asarray(alpha, dtype=complex)
-    ac = np.conj(alpha)
-    mag = np.abs(ac)
-    with np.errstate(divide="ignore"):
-        log_ac = np.where(mag > 0.0, np.log(np.where(mag > 0.0, mag, 1.0)), -np.inf)
-    ang = np.angle(ac)
-    sh, ch, th = math.sinh(r), math.cosh(r), math.tanh(r)
-    sh_sign = 1.0 if sh >= 0 else -1.0
-    running_max = np.full(alpha.shape, -np.inf)
-    acc = np.zeros(alpha.shape, dtype=complex)
-    for p in range(m // 2 + 1):
-        if p and sh == 0.0:
-            break  # unsqueezed: every sinh^p term beyond p = 0 vanishes
-        lw = ((p * math.log(abs(sh)) if p else 0.0) - p * math.log(2.0)
-              + (p - m) * math.log(ch)
-              - log_factorial(m - 2 * p) - log_factorial(p))
-        e = m - 2 * p
-        term_log = np.full(alpha.shape, lw) if e == 0 else lw + e * log_ac
-        phase = (sh_sign ** (p % 2)) * np.exp(1j * e * ang)
-        new_max = np.maximum(running_max, term_log)
-        with np.errstate(invalid="ignore"):
-            rescale = np.where(np.isfinite(running_max), np.exp(running_max - new_max), 0.0)
-            bump = np.where(np.isfinite(term_log), np.exp(term_log - new_max), 0.0)
-        acc = acc * rescale + phase * bump
-        running_max = new_max
-    log_pref = 0.5 * (log_factorial(m) - math.log(ch))
-    expo = -0.5 * np.abs(alpha) ** 2 - 0.5 * th * ac ** 2
-    with np.errstate(invalid="ignore"):
-        out = np.exp(log_pref + expo + running_max) * acc
-    return np.where(np.isfinite(running_max), out, 0.0)
+    ac = np.conj(np.asarray(alpha, dtype=complex))
+    ch, th = math.cosh(r), math.tanh(r)
+    mant, log_scale = hermite(m, ac / (2.0 * ch), -0.5 * th)
+    return mant * np.exp(log_scale - 0.5 * np.abs(ac) ** 2 - 0.5 * th * ac ** 2
+                         - 0.5 * (log_factorial(m) + math.log(ch)))
 
 
 def coherent_amplitude(alpha: complex, state: SqueezedNumberState) -> complex:
@@ -272,40 +208,11 @@ def q_slice_imag(y, state: SqueezedNumberState) -> np.ndarray:
     return np.abs(amp) ** 2 / math.pi
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Map a thread request (None, 0 = auto, or a count) to a worker count."""
-    if threads is None:
-        return 1
-    if threads == 0:
-        return min(8, os.cpu_count() or 1)
-    if threads < 0:
-        raise ValueError("thread count must be nonnegative")
-    return threads
-
-
-def q_grid(state: SqueezedNumberState, grid: GridSpec,
-           threads: int | None = None) -> np.ndarray:
+def q_grid(state: SqueezedNumberState, grid: GridSpec) -> np.ndarray:
     """Husimi Q on a rectangular grid, row-major with Im alpha as the slow axis.
 
-    out[i, j] = Q(re[j] + 1j * im[i]).  Every grid point is computed
-    independently; with threads > 1 the rows are partitioned across a
-    thread pool and written into one preallocated array, so the result is
-    bit-identical to the sequential evaluation.
+    out[i, j] = Q(re[j] + 1j * im[i]).
     """
     re, im = grid.axes()
-    out = np.empty((grid.n_im, grid.n_re))
-    nworkers = resolve_threads(threads)
-
-    def fill(lo: int, hi: int):
-        alpha = re[None, :] + 1j * im[lo:hi, None]
-        amp = coherent_amplitude_grid(alpha, state)
-        out[lo:hi] = np.abs(amp) ** 2 / math.pi
-
-    if nworkers <= 1 or grid.n_im < 2 * nworkers:
-        fill(0, grid.n_im)
-    else:
-        chunk = math.ceil(grid.n_im / nworkers)
-        bounds = [(lo, min(lo + chunk, grid.n_im)) for lo in range(0, grid.n_im, chunk)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    return out
+    amp = coherent_amplitude_grid(re[None, :] + 1j * im[:, None], state)
+    return np.abs(amp) ** 2 / math.pi

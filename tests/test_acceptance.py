@@ -29,7 +29,7 @@ from squeezelab.fock_oracle import bogoliubov_residual, build_squeeze, default_d
 from squeezelab.semiclassical import overlap_comparison
 from squeezelab.special import hermite_reduction_check
 from squeezelab.squeezed_number import (SqueezedNumberState, fock_amplitude,
-                                        momentum_density, photon_distribution,
+                                        momentum_wf, photon_distribution,
                                         position_wf, q_slice_imag)
 
 
@@ -127,7 +127,7 @@ def test_c07_slice_proportionality():
     st = SqueezedNumberState(7, 1.4)
     # (a) the exact identity at (7, 1.4), on 25 points across the 1e-3 window
     p = np.linspace(0.0, math.exp(st.r) * (math.sqrt(2 * st.m + 1) + 4.0), 2001)
-    dens = momentum_density(p, st)
+    dens = np.abs(momentum_wf(p, st)) ** 2
     window = p[dens > 1e-3 * dens.max()]
     peak = float(q_slice_imag(window / math.sqrt(2.0), st).max())
     ps = np.linspace(window[0], window[-1], 25)

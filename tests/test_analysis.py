@@ -189,7 +189,7 @@ def test_support_widening_single_r():
 
 def test_slice_proportionality_report_fields():
     rep = slice_proportionality(SqueezedNumberState(7, 1.4))
-    assert rep.scaling == "direct"
+    assert rep.scaling == "rescaled"
     assert rep.n_points > 100
     assert 0.0 <= rep.variation <= 1.0
     assert rep.ratio_min >= 0.0

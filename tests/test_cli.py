@@ -190,28 +190,3 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "parity")
     assert code == 3
     assert not json.loads(out)["passed"]
-
-
-def test_threads_env_is_validated(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("SQUEEZELAB_THREADS", "2")
-    out = tmp_path / "q.csv"
-    code = cli.main(["qfunc", "--m", "1", "--r", "0.5", "--re-min", "-1",
-                     "--re-max", "1", "--im-min", "-1", "--im-max", "1",
-                     "--n-re", "4", "--n-im", "8", "--out", str(out)])
-    assert code == 0
-    monkeypatch.setenv("SQUEEZELAB_THREADS", "x")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["qfunc", "--m", "1", "--r", "0.5", "--n-re", "3", "--n-im", "3",
-                  "--out", str(out)])
-    assert exc.value.code == 2
-
-
-def test_threads_env_does_not_change_output(tmp_path, monkeypatch):
-    args = ["qfunc", "--m", "7", "--r", "1.4", "--re-min", "-2", "--re-max", "2",
-            "--im-min", "-8", "--im-max", "8", "--n-re", "7", "--n-im", "33"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.delenv("SQUEEZELAB_THREADS", raising=False)
-    cli.main(args + ["--out", str(a)])
-    monkeypatch.setenv("SQUEEZELAB_THREADS", "4")
-    cli.main(args + ["--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()

@@ -1,4 +1,4 @@
-"""Tests for the log-domain scalar, factorials and Hermite evaluation."""
+"""Tests for the log-domain scalar, factorials and the Hermite kernel."""
 
 import math
 from fractions import Fraction
@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squeezelab.special import (SignedLogNumber, hermite, hermite_array,
-                                hermite_complex, hermite_reduction_check,
-                                log_factorial)
+from squeezelab.special import (SignedLogNumber, hermite,
+                                hermite_reduction_check, log_factorial)
 
 
 def hermite_coeffs_exact(n):
@@ -125,28 +124,39 @@ def test_sln_float_agreement(lm):
 
 # ------------------------------------------------------------------- hermite
 
+def hermite_value(n, x, t=1.0):
+    mant, log_scale = hermite(n, x, t)
+    return mant * np.exp(log_scale)
+
+
 def test_hermite_order_zero_any_x():
     for x in (-17.0, 0.0, 0.3, 12.0):
-        h = hermite(0, x)
-        assert h.sign == 1 and h.to_float() == 1.0
+        mant, log_scale = hermite(0, x)
+        assert mant == 1.0 and log_scale == 0.0
 
 
 def test_hermite_one_at_zero_is_zero():
-    assert hermite(1, 0.0).sign == 0
+    assert hermite(1, 0.0)[0] == 0.0
+
+
+def test_hermite_odd_order_exact_zero_at_origin():
+    for n in (1, 3, 7, 25, 301):
+        assert hermite(n, 0.0)[0] == 0.0
+        assert hermite(n, 0j, -0.3)[0] == 0.0
 
 
 def test_hermite_7_at_1p3():
     # oracle: exact integer-coefficient polynomial in rational arithmetic
     exact = hermite_exact(7, Fraction(13, 10))
     assert exact == Fraction(78978367, 78125)
-    assert hermite(7, 1.3).to_float() == pytest.approx(float(exact), rel=1e-13)
+    assert hermite_value(7, 1.3) == pytest.approx(float(exact), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", range(26))
 def test_hermite_vs_exact_coefficients(n):
     for x in (-20.0, -7.3, -1.0, 0.17, 2.0, 9.9, 20.0):
         exact = float(hermite_exact(n, Fraction(x).limit_denominator(10 ** 12)))
-        got = hermite(n, x).to_float()
+        got = hermite_value(n, x)
         if exact == 0.0:
             assert got == 0.0
         else:
@@ -154,8 +164,9 @@ def test_hermite_vs_exact_coefficients(n):
 
 
 def test_hermite_no_overflow_large_order():
-    h = hermite(600, 0.5)
-    assert math.isfinite(h.log_mag) and h.sign in (-1, 1)
+    mant, log_scale = hermite(600, 0.5)
+    assert math.isfinite(log_scale) and log_scale > 709.0
+    assert 0.5 <= abs(mant) <= 1.0
 
 
 def test_hermite_rejects_bad_args():
@@ -163,28 +174,44 @@ def test_hermite_rejects_bad_args():
         hermite(-1, 0.0)
     with pytest.raises(ValueError):
         hermite(3, math.inf)
+    with pytest.raises(ValueError):
+        hermite(3, np.array([0.0, math.nan]))
 
 
 def test_hermite_complex_matches_real_axis():
-    mant, scale = hermite_complex(9, 1.7 + 0j)
-    want = hermite(9, 1.7)
-    assert mant * math.exp(scale) == pytest.approx(want.to_float(), rel=1e-12)
+    mant, scale = hermite(9, 1.7 + 0j)
+    assert mant * math.exp(scale) == pytest.approx(hermite_value(9, 1.7), rel=1e-12)
 
 
 def test_hermite_complex_imaginary_argument():
     # H_2(z) = 4 z^2 - 2 at z = i y gives -4 y^2 - 2
-    mant, scale = hermite_complex(2, 0.8j)
-    assert mant * math.exp(scale) == pytest.approx(-4 * 0.64 - 2, rel=1e-14)
+    assert hermite_value(2, 0.8j) == pytest.approx(-4 * 0.64 - 2, rel=1e-14)
 
 
 def test_hermite_array_matches_scalar():
     xs = np.linspace(-6, 6, 41)
-    sgn, lm = hermite_array(11, xs)
+    mant, log_scale = hermite(11, xs)
     for i, x in enumerate(xs):
         ref = hermite(11, float(x))
-        assert sgn[i] == ref.sign
-        if ref.sign != 0:
-            assert lm[i] == pytest.approx(ref.log_mag, rel=1e-12)
+        assert mant[i] == ref[0] and log_scale[i] == ref[1]
+
+
+def test_hermite_t_zero_is_power():
+    # t^{n/2} H_n(x / sqrt t) -> (2x)^n as t -> 0
+    for n in (0, 1, 5, 40):
+        for x in (-1.3, 0.25, 0.7 - 0.4j):
+            assert hermite_value(n, x, 0.0) == pytest.approx((2 * x) ** n, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [Fraction(-1, 2), Fraction(1, 4)])
+def test_hermite_scaled_vs_exact_coefficients(t):
+    # t^{n/2} H_n(x / sqrt t) = sum_j c_j x^j t^{(n-j)/2}, and n - j is even
+    for n in range(13):
+        coeffs = hermite_coeffs_exact(n)
+        for x in (Fraction(-7, 5), Fraction(3, 10), Fraction(2)):
+            exact = sum(c * x ** j * t ** ((n - j) // 2) for j, c in enumerate(coeffs))
+            got = hermite_value(n, float(x), float(t))
+            assert got == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
 
 
 # ------------------------------------------------- half-argument identity

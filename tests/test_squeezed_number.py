@@ -9,9 +9,9 @@ from scipy.integrate import quad
 
 from squeezelab.squeezed_number import (NonConvergenceError,
                                         SqueezedNumberState,
-                                        coherent_amplitude, fock_amplitude,
-                                        momentum_density, momentum_wf,
-                                        photon_distribution, position_density,
+                                        coherent_amplitude,
+                                        coherent_amplitude_grid, fock_amplitude,
+                                        momentum_wf, photon_distribution,
                                         position_wf, q_function, q_grid,
                                         q_slice_imag)
 from squeezelab.tables import GridSpec
@@ -164,7 +164,7 @@ def test_momentum_wf_zeros_scale_with_stretch():
 def test_momentum_wf_maxima_count_m7():
     st = SqueezedNumberState(7, 1.4)
     p = np.arange(-20, 20, 0.01 * math.exp(1.4))
-    d = momentum_density(p, st)
+    d = np.abs(momentum_wf(p, st)) ** 2
     count = sum(1 for i in range(1, len(p) - 1)
                 if d[i] > d[i - 1] and d[i] > d[i + 1] and d[i] > 1e-6 * d.max())
     assert count == 8
@@ -189,12 +189,15 @@ def test_fourier_consistency_momentum_vs_position():
 
 
 def test_density_arrays_match_scalars():
+    # one wave function serves scalars and arrays, values and densities alike
     st = SqueezedNumberState(3, 0.8)
     qs = np.array([-1.2, 0.0, 0.3, 2.0])
-    np.testing.assert_allclose(position_density(qs, st),
-                               [position_wf(q, st) ** 2 for q in qs], rtol=1e-12)
-    np.testing.assert_allclose(momentum_density(qs, st),
-                               [abs(momentum_wf(p, st)) ** 2 for p in qs], rtol=1e-12)
+    for wf in (position_wf, momentum_wf):
+        amps = wf(qs, st)
+        assert amps.shape == qs.shape
+        np.testing.assert_allclose(amps, [wf(float(q), st) for q in qs], rtol=1e-14)
+    assert isinstance(position_wf(0.3, st), float)
+    assert isinstance(momentum_wf(0.3, st), complex)
 
 
 # ------------------------------------------------------------ coherent / Q
@@ -250,14 +253,6 @@ def test_q_grid_shape_and_row_major_layout():
     assert vals[3, 1] == pytest.approx(q_function(re[1] + 1j * im[3], st), rel=1e-12)
 
 
-def test_q_grid_thread_count_does_not_change_bytes():
-    st = SqueezedNumberState(7, 1.4)
-    grid = GridSpec(-2.0, 2.0, -10.0, 10.0, 21, 64)
-    a = q_grid(st, grid, threads=1)
-    b = q_grid(st, grid, threads=4)
-    assert np.array_equal(a, b)
-
-
 def test_q_grid_elliptical_ridge_axis_ratio():
     # the bright ring stretches along Im alpha by ~e^{2r} relative to Re
     st = SqueezedNumberState(7, 0.5)
@@ -269,7 +264,6 @@ def test_q_grid_elliptical_ridge_axis_ratio():
 
 
 def q_slice_real(x, st):
-    from squeezelab.squeezed_number import coherent_amplitude_grid
     amp = coherent_amplitude_grid(np.asarray(x, dtype=complex), st)
     return np.abs(amp) ** 2 / math.pi
 
@@ -288,11 +282,55 @@ def test_q_normalization_by_2d_quadrature():
     lim_re = math.exp(-st.r) * math.sqrt(15.0) + 7.0
     lim_im = math.exp(st.r) * (math.sqrt(15.0) + 7.0)
     x, w = np.polynomial.legendre.leggauss(700)
-    from squeezelab.squeezed_number import coherent_amplitude_grid
     grid = lim_re * x[None, :] + 1j * lim_im * x[:, None]
     qv = np.abs(coherent_amplitude_grid(grid, st)) ** 2 / math.pi
     mass = lim_re * lim_im * float(w @ qv @ w)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def coherent_amplitude_mp(alpha, m, r, mp):
+    """<alpha|m,r> from the finite sum over p,
+
+        sqrt(m!/cosh r) e^{-|alpha|^2/2 - tanh(r) alpha*^2/2}
+            * sum_p 2^{-p} sinh^p(r) cosh^{p-m}(r) alpha*^{m-2p} / ((m-2p)! p!),
+
+    in mpmath at a precision 30 digits beyond the cancellation the sum
+    itself shows (60 digits at least)."""
+    dps = 60
+    while True:
+        with mp.workdps(dps):
+            ac, rr = mp.conj(mp.mpc(alpha)), mp.mpf(r)
+            sh, ch = mp.sinh(rr), mp.cosh(rr)
+            terms = [sh ** p * ch ** (p - m) * ac ** (m - 2 * p)
+                     / (2 ** p * mp.factorial(m - 2 * p) * mp.factorial(p))
+                     for p in range(m // 2 + 1)]
+            total = mp.fsum(terms)
+            lost = 0 if total == 0 else int(mp.ceil(
+                mp.log10(mp.fsum(abs(t) for t in terms) / abs(total))))
+            if lost + 30 <= dps:
+                pref = (mp.sqrt(mp.factorial(m) / ch)
+                        * mp.exp(-abs(ac) ** 2 / 2 - mp.tanh(rr) * ac ** 2 / 2))
+                return complex(total * pref)
+        dps = lost + 40
+
+
+@pytest.mark.parametrize("m,r", [(40, 2.0), (60, 1.0), (100, 0.5), (300, 1.5), (40, -1.0)])
+def test_husimi_precision_envelope(m, r):
+    # beyond m ~ 20 the sum over p cancels by up to ~70 digits in doubles;
+    # the Hermite form must hold 1e-10 of the slice peak on and off the axis
+    mp = pytest.importorskip("mpmath")
+    st = SqueezedNumberState(m, r)
+    ring = math.sqrt(m + 0.5)
+    y = np.linspace(0.0, math.exp(r) * ring + 2.0, 41)[1:]
+    angles = np.array([0.4, 1.0, 2.2, 2.9, -1.3])
+    off_axis = math.exp(-r) * ring * np.cos(angles) + 1j * math.exp(r) * ring * np.sin(angles)
+    alphas = np.concatenate([1j * y, off_axis])
+    ref = np.array([coherent_amplitude_mp(a, m, r, mp) for a in alphas])
+    q_ref = np.abs(ref[:len(y)]) ** 2 / math.pi
+    peak = q_ref.max()
+    assert np.abs(q_slice_imag(y, st) - q_ref).max() <= 1e-10 * peak
+    amp_err = np.abs(coherent_amplitude_grid(alphas, st) - ref).max()
+    assert amp_err <= 1e-10 * math.sqrt(math.pi * peak)
 
 
 def test_state_validation():
