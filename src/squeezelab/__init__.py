@@ -18,12 +18,12 @@ from .analysis import (CorrespondenceRow, MaximaReport, ScanError,
                        transition_scan)
 from .fock_oracle import (FockMatrix, TrustRegionError, bogoliubov_residual,
                           build_squeeze, default_dim, oracle_amplitude)
-from .genfun import (BiSeries, TruncatedSeries, exp_biseries, exp_series,
-                     extract_amplitude, extract_element, identity_kernel,
-                     photon_number_kernel, transformed_number_kernel)
+from .genfun import (exp_series, extract_amplitude, extract_element,
+                     identity_kernel, photon_number_kernel, series, series_mul,
+                     transformed_number_kernel)
 from .semiclassical import (ClassicallyForbiddenError, OverlapComparison,
                             OverlapParams, approx_p, area_weight,
-                            classical_boundary, interference_phase,
+                            classical_boundary, fit_scale, interference_phase,
                             overlap_comparison)
 from .special import (SignedLogNumber, hermite, hermite_reduction_check,
                       log_factorial)
@@ -37,21 +37,22 @@ from .tables import DistributionTable, GridSpec, TableMeta
 
 __all__ = [
     "__version__",
-    "BiSeries", "ClassicallyForbiddenError", "CorrespondenceRow",
+    "ClassicallyForbiddenError", "CorrespondenceRow",
     "DistributionTable", "FockMatrix", "GridSpec", "MaximaReport",
     "NonConvergenceError", "OverlapComparison", "OverlapParams", "ScanError",
     "SignedLogNumber", "SliceRatioReport", "SqueezedNumberState", "TableMeta",
-    "TransitionResult", "TruncatedSeries", "TrustRegionError",
+    "TransitionResult", "TrustRegionError",
     "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
-    "classical_boundary", "coherent_amplitude", "default_dim", "exp_biseries",
+    "classical_boundary", "coherent_amplitude", "default_dim",
     "exp_series", "extract_amplitude", "extract_element", "find_maxima",
-    "fock_amplitude", "fock_amplitude_scs", "hermite",
+    "fit_scale", "fock_amplitude", "fock_amplitude_scs", "hermite",
     "hermite_reduction_check", "identity_kernel", "interference_phase",
     "log_factorial", "maxima_count_law", "momentum_density_table",
     "momentum_wf", "momentum_wf_scs", "momentum_zeros", "oracle_amplitude",
     "overlap_coherent", "overlap_comparison", "photon_distribution",
     "photon_number_kernel", "position_density_table", "position_wf",
     "position_wf_scs", "q_function", "q_grid", "q_slice_imag",
-    "q_slice_table", "qmax_to_nmax", "slice_proportionality",
-    "support_widening", "transformed_number_kernel", "transition_scan",
+    "q_slice_table", "qmax_to_nmax", "series", "series_mul",
+    "slice_proportionality", "support_widening", "transformed_number_kernel",
+    "transition_scan",
 ]

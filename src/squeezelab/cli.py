@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, verify
-from .semiclassical import OverlapParams, approx_p, classical_boundary
+from .semiclassical import OverlapParams, approx_p, classical_boundary, fit_scale
 from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
                               momentum_wf, photon_distribution, position_wf,
                               q_grid, q_slice_imag)
@@ -44,32 +44,34 @@ class RunConfig:
         return json.dumps({"command": self.command, **self.params}, sort_keys=True)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _write_table(config: RunConfig, columns, rows, fmt: str, out: str | None,
+def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
                  extra_header: dict | None = None):
-    """Emit a column table as CSV (with # header comments) or JSON v1."""
+    """Emit named columns of equal length as CSV (with # header comments)
+    or JSON v1.
+
+    Integer and boolean columns print as integers, float columns with 17
+    significant digits (full double round-trip).
+    """
+    cols = [np.asarray(c) for c in columns.values()]
+    is_int = [c.dtype.kind in "biu" for c in cols]
+    # object dtype holds Python ints and floats, as % formatting and json expect
+    rows = np.column_stack([c.astype(int if i else float).astype(object)
+                            for c, i in zip(cols, is_int)])
     if fmt == "csv":
         lines = [f"# squeezelab {__version__} schema v1",
                  f"# config {config.as_json()}"]
         if extra_header:
             lines.append(f"# {json.dumps(extra_header, sort_keys=True)}")
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        line = ",".join("%d" if i else "%.17g" for i in is_int) + "\n"
+        text = "\n".join(lines) + "\n" + (line * len(rows)) % tuple(rows.ravel())
     else:
         payload = {
             "schema": "v1",
             "generator": f"squeezelab {__version__}",
             "config": {"command": config.command, **config.params},
             "columns": list(columns),
-            "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
-                      for v in row] for row in rows],
+            "rows": rows.tolist(),
         }
         if extra_header:
             payload["meta"] = extra_header
@@ -91,9 +93,8 @@ def cmd_photon(args) -> int:
     table = photon_distribution(state, args.tail_eps)
     config = RunConfig("photon", {"m": args.m, "r": args.r, "tail_eps": args.tail_eps,
                                   "format": args.format})
-    rows = [(int(n), p) for n, p in zip(table.coords, table.probs)]
-    _write_table(config, ["n", "probability"], rows, args.format, args.out,
-                 extra_header=dict(table.meta.truncation))
+    _write_table(config, {"n": table.coords, "probability": table.probs},
+                 args.format, args.out, extra_header=dict(table.meta.truncation))
     return EXIT_OK
 
 
@@ -110,13 +111,10 @@ def cmd_quad(args) -> int:
     config = RunConfig("quad", {"kind": args.kind, "m": args.m, "r": args.r,
                                 "min": lo, "max": hi, "points": args.points,
                                 "amplitude": bool(args.amplitude), "format": args.format})
+    columns = {"coord": coords, "prob": amps.real ** 2 + amps.imag ** 2}
     if args.amplitude:
-        columns = ["coord", "prob", "re", "im"]
-        rows = [(x, abs(a) ** 2, a.real, a.imag) for x, a in zip(coords, amps)]
-    else:
-        columns = ["coord", "prob"]
-        rows = [(x, abs(a) ** 2) for x, a in zip(coords, amps)]
-    _write_table(config, columns, rows, args.format, args.out)
+        columns.update(re=amps.real, im=amps.imag)
+    _write_table(config, columns, args.format, args.out)
     return EXIT_OK
 
 
@@ -134,23 +132,22 @@ def cmd_qfunc(args) -> int:
     re, im = grid.axes()
     config = RunConfig("qfunc", {"m": args.m, "r": args.r, **asdict(grid),
                                  "format": args.format})
-    rows = [(re[j], im[i], values[i, j])
-            for i in range(grid.n_im) for j in range(grid.n_re)]
-    _write_table(config, ["re", "im", "Q"], rows, args.format, args.out,
+    columns = {"re": np.tile(re, grid.n_im), "im": np.repeat(im, grid.n_re),
+               "Q": values.ravel()}
+    _write_table(config, columns, args.format, args.out,
                  extra_header={"row_major": "im is the slow axis"})
     # companion file: the imaginary-axis slice the oscillations live on
     slice_out = args.slice_out
     if slice_out is None and args.out is not None:
         slice_out = _slice_companion_path(args.out)
     if slice_out is not None:
-        sl = q_slice_imag(im, state)
-        slice_rows = [(im[i], sl[i]) for i in range(grid.n_im)]
         slice_config = RunConfig("qfunc-slice", {"m": args.m, "r": args.r,
                                                  "im_min": grid.im_min,
                                                  "im_max": grid.im_max,
                                                  "n_im": grid.n_im,
                                                  "format": args.format})
-        _write_table(slice_config, ["im", "Q"], slice_rows, args.format, slice_out)
+        _write_table(slice_config, {"im": im, "Q": q_slice_imag(im, state)},
+                     args.format, slice_out)
     return EXIT_OK
 
 
@@ -162,28 +159,22 @@ def cmd_semiclassical(args) -> int:
     ys = np.linspace(y_lo, y_hi, args.points)
     exact = q_slice_imag(ys, state)
     approx = np.full(len(ys), math.nan)
-    valid = np.zeros(len(ys), dtype=int)
-    for i, y in enumerate(ys):
-        p = OverlapParams(state.m, state.r, float(y))
-        if p.depth() > 0.0:
-            approx[i] = approx_p(p)
-            valid[i] = 1
+    valid = OverlapParams(state.m, state.r, ys).depth() > 0.0
     if not valid.any():
         sys.stderr.write("warning: no point of the range lies inside the "
                          "classical boundary; every row is flagged invalid\n")
         scale = math.nan
     else:
-        mask = (valid == 1) & (ys < 0.8 * bound)
+        approx[valid] = approx_p(OverlapParams(state.m, state.r, ys[valid]))
+        mask = valid & (ys < 0.8 * bound)
         if not mask.any():
-            mask = valid == 1
-        denom = float(approx[mask] @ approx[mask])
-        scale = float(approx[mask] @ exact[mask]) / denom if denom > 0 else math.nan
+            mask = valid
+        scale = fit_scale(approx[mask], exact[mask])
     config = RunConfig("semiclassical", {"m": args.m, "r": args.r, "y_min": y_lo,
                                          "y_max": y_hi, "points": args.points,
                                          "format": args.format})
-    rows = [(y, a, e, int(v)) for y, a, e, v in zip(ys, approx, exact, valid)]
-    _write_table(config, ["y", "approx", "exact_slice", "valid"], rows,
-                 args.format, args.out,
+    _write_table(config, {"y": ys, "approx": approx, "exact_slice": exact,
+                          "valid": valid}, args.format, args.out,
                  extra_header={"classical_boundary": bound, "fitted_scale": scale})
     return EXIT_OK
 
@@ -206,9 +197,8 @@ def cmd_maxima(args) -> int:
     report = analysis.find_maxima(table, floor=args.floor, refine=refine)
     config = RunConfig("maxima", {"representation": rep, "m": args.m, "r": args.r,
                                   "floor": args.floor, "format": args.format})
-    rows = [(int(p) if rep == "photon" else float(p), v)
-            for p, v in zip(report.positions, report.values)]
-    _write_table(config, ["position", "value"], rows, args.format, args.out,
+    _write_table(config, {"position": report.positions, "value": report.values},
+                 args.format, args.out,
                  extra_header={"count": report.count})
     return EXIT_OK
 
@@ -220,8 +210,8 @@ def cmd_transition(args) -> int:
                                       "r_hi": args.r_hi, "step": args.step,
                                       "prominence": args.prominence,
                                       "format": args.format})
-    rows = [(r, int(c)) for r, c in result.trace]
-    _write_table(config, ["r", "prominent_maxima"], rows, args.format, args.out,
+    rs, counts = zip(*result.trace)
+    _write_table(config, {"r": rs, "prominent_maxima": counts}, args.format, args.out,
                  extra_header={"r_star": result.r_star, "target": result.target})
     return EXIT_OK
 

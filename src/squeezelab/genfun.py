@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .special import log_factorial
 from .squeezed_coherent import R_EPS
 from .squeezed_number import SqueezedNumberState
 
 __all__ = [
-    "TruncatedSeries",
-    "BiSeries",
+    "series",
+    "series_mul",
     "exp_series",
-    "exp_biseries",
     "extract_amplitude",
     "extract_element",
     "identity_kernel",
@@ -39,164 +39,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Polynomial in one formal variable, truncated at a fixed order.
+def series(terms: dict, shape) -> np.ndarray:
+    """Complex coefficient array of a truncated series.
 
-    coeffs[j] multiplies beta^j; the tuple has length order + 1.  All
-    arithmetic truncates back to the smaller order of the operands, which
-    is exact for coefficient extraction at or below that order.
+    A 1-d array of length order + 1 holds a series in beta (entry j
+    multiplies beta^j); a 2-d array of shape (order_a + 1, order_b + 1)
+    holds one in conj(alpha) and beta (entry [i, j] multiplies
+    conj(alpha)^i beta^j).  ``terms`` maps a power (an int, or an (i, j)
+    pair) to its coefficient; powers past the truncation are dropped.
     """
-
-    coeffs: tuple[complex, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls((0j,) * (order + 1))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
-        c = [complex(v) for v in coeffs]
-        if order is not None:
-            c = (c + [0j] * (order + 1 - len(c)))[: order + 1]
-        if not c:
-            raise ValueError("series needs at least the constant coefficient")
-        return cls(tuple(c))
-
-    @classmethod
-    def monomial(cls, value: complex, power: int, order: int) -> "TruncatedSeries":
-        c = [0j] * (order + 1)
-        if power <= order:
-            c[power] = complex(value)
-        return cls(tuple(c))
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        out = [0j] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
-
-    def scale(self, c: complex) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(complex(c) * a for a in self.coeffs))
-
-    def coefficient(self, j: int) -> complex:
-        return self.coeffs[j] if j <= self.order else 0j
+    out = np.zeros(shape, dtype=complex)
+    for power, value in terms.items():
+        power = power if isinstance(power, tuple) else (power,)
+        if all(p < n for p, n in zip(power, out.shape)):
+            out[power] = value
+    return out
 
 
-def exp_series(poly: TruncatedSeries) -> TruncatedSeries:
+def series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two truncated series of the same shape, truncated back
+    to that shape; exact for every kept coefficient."""
+    if a.ndim == 1:
+        return np.convolve(a, b)[: len(a)]
+    out = np.zeros_like(a)
+    for i, row in enumerate(a):
+        for k in range(len(a) - i):
+            out[i + k] += np.convolve(row, b[k])[: a.shape[1]]
+    return out
+
+
+def exp_series(p: np.ndarray) -> np.ndarray:
     """exp of a truncated series by the derivative recurrence.
 
-    g = exp(p) satisfies g' = p' g, giving n g_n = sum_{k>=1} k p_k g_{n-k}.
-    A nonzero constant term only contributes the scalar factor e^{p_0}.
+    g = exp(p) satisfies g' = p' g in the leading variable, giving
+    n g_n = sum_{k>=1} k p_k g_{n-k}.  For a 1-d series the p_k are
+    numbers and g_0 = e^{p_0}; for a 2-d series they are series in beta,
+    multiplied by :func:`series_mul`, and g_0 = exp_series(p[0]).
     """
-    order = poly.order
-    p = poly.coeffs
-    g = [cmath.exp(p[0])] + [0j] * order
-    for n in range(1, order + 1):
-        s = 0j
-        for k in range(1, n + 1):
-            if p[k] != 0:
-                s += k * p[k] * g[n - k]
-        g[n] = s / n
-    return TruncatedSeries(tuple(g))
+    p = np.asarray(p, dtype=complex)
+    g = np.zeros_like(p)
+    if p.ndim == 1:
+        g[0], mul = cmath.exp(p[0]), np.multiply
+    else:
+        g[0], mul = exp_series(p[0]), series_mul
+    for n in range(1, len(p)):
+        g[n] = sum(mul(k * p[k], g[n - k]) for k in range(1, n + 1)) / n
+    return g
 
 
-@dataclass(frozen=True)
-class BiSeries:
-    """Polynomial in two formal variables, truncated per variable.
-
-    coeffs[i][j] multiplies conj(alpha)^i beta^j.
-    """
-
-    coeffs: tuple[tuple[complex, ...], ...]
-
-    @property
-    def order_a(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def order_b(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    @classmethod
-    def zero(cls, order_a: int, order_b: int) -> "BiSeries":
-        return cls(tuple((0j,) * (order_b + 1) for _ in range(order_a + 1)))
-
-    @classmethod
-    def monomial(cls, value: complex, pow_a: int, pow_b: int,
-                 order_a: int, order_b: int) -> "BiSeries":
-        rows = [[0j] * (order_b + 1) for _ in range(order_a + 1)]
-        if pow_a <= order_a and pow_b <= order_b:
-            rows[pow_a][pow_b] = complex(value)
-        return cls(tuple(tuple(row) for row in rows))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        na = min(self.order_a, other.order_a)
-        nb = min(self.order_b, other.order_b)
-        return BiSeries(tuple(
-            tuple(self.coeffs[i][j] + other.coeffs[i][j] for j in range(nb + 1))
-            for i in range(na + 1)))
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        na = min(self.order_a, other.order_a)
-        nb = min(self.order_b, other.order_b)
-        out = [[0j] * (nb + 1) for _ in range(na + 1)]
-        for i in range(na + 1):
-            for j in range(nb + 1):
-                a = self.coeffs[i][j]
-                if a == 0:
-                    continue
-                for k in range(na + 1 - i):
-                    row = other.coeffs[k]
-                    for l in range(nb + 1 - j):
-                        b = row[l]
-                        if b != 0:
-                            out[i + k][j + l] += a * b
-        return BiSeries(tuple(tuple(row) for row in out))
-
-    def scale(self, c: complex) -> "BiSeries":
-        return BiSeries(tuple(tuple(complex(c) * v for v in row) for row in self.coeffs))
-
-    def coefficient(self, i: int, j: int) -> complex:
-        if i > self.order_a or j > self.order_b:
-            return 0j
-        return self.coeffs[i][j]
-
-
-def exp_biseries(poly: BiSeries) -> BiSeries:
-    """exp of a two-variable truncated polynomial by the Taylor sum.
-
-    Terms beyond total degree order_a + order_b cannot reach any kept
-    coefficient, so the sum is exact at the truncation.
-    """
-    c0 = poly.coefficient(0, 0)
-    p = poly + BiSeries.monomial(-c0, 0, 0, poly.order_a, poly.order_b)
-    out = BiSeries.monomial(1.0, 0, 0, poly.order_a, poly.order_b)
-    power = out
-    kmax = poly.order_a + poly.order_b
-    fact = 1.0
-    for k in range(1, kmax + 1):
-        power = power * p
-        fact *= k
-        out = out + power.scale(1.0 / fact)
-    return out.scale(cmath.exp(c0))
-
-
-def _fock_kernel(n: int, r: float, order: int) -> TruncatedSeries:
+def _fock_kernel(n: int, r: float, order: int) -> np.ndarray:
     """Cancelled generating kernel of <n | beta, r> as a series in beta.
 
     Written with integer powers of sinh and cosh,
@@ -208,9 +99,9 @@ def _fock_kernel(n: int, r: float, order: int) -> TruncatedSeries:
     which is branch-free in r and reduces to beta^n/sqrt(n!) at r = 0.
     """
     if abs(r) < R_EPS:
-        return TruncatedSeries.monomial(math.exp(-0.5 * log_factorial(n)), n, order)
+        return series({n: math.exp(-0.5 * log_factorial(n))}, order + 1)
     sh, ch, th = math.sinh(r), math.cosh(r), math.tanh(r)
-    poly = [0j] * (order + 1)
+    poly = np.zeros(order + 1, dtype=complex)
     for k in range(n // 2 + 1):
         deg = n - 2 * k
         if deg > order:
@@ -221,9 +112,7 @@ def _fock_kernel(n: int, r: float, order: int) -> TruncatedSeries:
         sign = (-1) ** (k % 2) * (1 if sh > 0 else -1) ** (k % 2)
         poly[deg] = sign * math.exp(logmag)
     pref = math.exp(-0.5 * (n * math.log(2.0) + log_factorial(n) + math.log(ch)))
-    body = TruncatedSeries.from_coeffs(poly) * exp_series(
-        TruncatedSeries.monomial(0.5 * th, 2, order))
-    return body.scale(pref)
+    return pref * series_mul(poly, exp_series(series({2: 0.5 * th}, order + 1)))
 
 
 def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
@@ -231,81 +120,77 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
 
     kind selects the bra: 'fock' (value = photon index), 'position'
     (value = q), 'momentum' (value = p) or 'coherent' (value = alpha).
-    Builds e^{|beta|^2/2} <bra | beta, r> as a TruncatedSeries of order m
-    and returns sqrt(m!) times its beta^m coefficient.
+    Builds e^{|beta|^2/2} <bra | beta, r> as a series of order m and
+    returns sqrt(m!) times its beta^m coefficient.
     """
     m, r = state.m, state.r
-    order = m
+    size = m + 1
     if kind == "fock":
         n = int(value)
         if n < 0:
             raise ValueError("photon index must be nonnegative")
-        series = _fock_kernel(n, r, order)
+        kern = _fock_kernel(n, r, m)
         pref = 1.0 + 0j
     elif kind == "position":
         q = float(value)
-        quad = (TruncatedSeries.monomial(math.sqrt(2.0) * math.exp(r) * q, 1, order)
-                + TruncatedSeries.monomial(-0.5, 2, order))
-        series = exp_series(quad)
+        kern = exp_series(series({1: math.sqrt(2.0) * math.exp(r) * q, 2: -0.5}, size))
         pref = math.pi ** -0.25 * math.exp(0.5 * r - 0.5 * math.exp(2.0 * r) * q * q)
     elif kind == "momentum":
         p = float(value)
-        quad = (TruncatedSeries.monomial(-1j * math.sqrt(2.0) * math.exp(-r) * p, 1, order)
-                + TruncatedSeries.monomial(0.5, 2, order))
-        series = exp_series(quad)
+        kern = exp_series(series({1: -1j * math.sqrt(2.0) * math.exp(-r) * p, 2: 0.5}, size))
         pref = math.pi ** -0.25 * math.exp(-0.5 * r - 0.5 * math.exp(-2.0 * r) * p * p)
     elif kind == "coherent":
         alpha = complex(value)
         t, ch = math.tanh(r), math.cosh(r)
-        quad = (TruncatedSeries.monomial(alpha.conjugate() / ch, 1, order)
-                + TruncatedSeries.monomial(0.5 * t, 2, order))
-        series = exp_series(quad)
+        kern = exp_series(series({1: alpha.conjugate() / ch, 2: 0.5 * t}, size))
         pref = (cmath.exp(-0.5 * abs(alpha) ** 2 - 0.5 * t * alpha.conjugate() ** 2)
                 / math.sqrt(ch))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    return math.exp(0.5 * log_factorial(m)) * series.coefficient(m) * pref
+    return complex(math.exp(0.5 * log_factorial(m)) * kern[m] * pref)
 
 
 def extract_element(n: int, m: int, r: float,
-                    op_kernel: Callable[[int, int], BiSeries]) -> complex:
+                    op_kernel: Callable[[int, int], np.ndarray]) -> complex:
     """<n, r| R |m, r> from a doubly-cancelled operator kernel.
 
-    op_kernel(order_a, order_b) must return the BiSeries of
+    op_kernel(order_a, order_b) must return the 2-d series of
     e^{|alpha|^2/2} e^{|beta|^2/2} <alpha, r| R |beta, r> in conj(alpha)
     and beta; the result is sqrt(n! m!) times its (n, m) coefficient.
     """
     if n < 0 or m < 0:
         raise ValueError("indices must be nonnegative")
     kern = op_kernel(n, m)
-    return (math.exp(0.5 * (log_factorial(n) + log_factorial(m)))
-            * kern.coefficient(n, m))
+    return complex(math.exp(0.5 * (log_factorial(n) + log_factorial(m))) * kern[n, m])
 
 
-def identity_kernel() -> Callable[[int, int], BiSeries]:
+def _cross_exp(order_a: int, order_b: int) -> np.ndarray:
+    """exp(conj(alpha) beta), the kernel every ladder operator multiplies."""
+    return exp_series(series({(1, 1): 1.0}, (order_a + 1, order_b + 1)))
+
+
+def identity_kernel() -> Callable[[int, int], np.ndarray]:
     """Kernel of the identity operator: exp(conj(alpha) beta).
 
     The squeeze cancels between bra and ket, so this is r-independent and
     extraction reproduces the orthonormality of the squeezed number basis.
     """
-    def build(order_a: int, order_b: int) -> BiSeries:
-        return exp_biseries(BiSeries.monomial(1.0, 1, 1, order_a, order_b))
-    return build
+    return _cross_exp
 
 
-def transformed_number_kernel() -> Callable[[int, int], BiSeries]:
+def transformed_number_kernel() -> Callable[[int, int], np.ndarray]:
     """Kernel of the squeezed-basis number operator b^dag b.
 
     Both ladder factors act on their own eigenstate, leaving
     conj(alpha) beta exp(conj(alpha) beta).
     """
-    def build(order_a: int, order_b: int) -> BiSeries:
-        base = exp_biseries(BiSeries.monomial(1.0, 1, 1, order_a, order_b))
-        return BiSeries.monomial(1.0, 1, 1, order_a, order_b) * base
+    def build(order_a: int, order_b: int) -> np.ndarray:
+        shape = (order_a + 1, order_b + 1)
+        return series_mul(series({(1, 1): 1.0}, shape), _cross_exp(order_a, order_b))
     return build
 
 
-def photon_number_kernel(r: float) -> Callable[[int, int], BiSeries]:
+def photon_number_kernel(r: float) -> Callable[[int, int], np.ndarray]:
     """Kernel of the bare photon number operator a^dag a.
 
     Inverting the ladder mixing a = cosh(r) b - sinh(r) b^dag gives
@@ -318,11 +203,9 @@ def photon_number_kernel(r: float) -> Callable[[int, int], BiSeries]:
     """
     sh, ch = math.sinh(r), math.cosh(r)
 
-    def build(order_a: int, order_b: int) -> BiSeries:
-        base = exp_biseries(BiSeries.monomial(1.0, 1, 1, order_a, order_b))
-        poly = (BiSeries.monomial(ch * ch + sh * sh, 1, 1, order_a, order_b)
-                + BiSeries.monomial(sh * sh, 0, 0, order_a, order_b)
-                + BiSeries.monomial(-sh * ch, 0, 2, order_a, order_b)
-                + BiSeries.monomial(-sh * ch, 2, 0, order_a, order_b))
-        return poly * base
+    def build(order_a: int, order_b: int) -> np.ndarray:
+        poly = series({(1, 1): ch * ch + sh * sh, (0, 0): sh * sh,
+                       (0, 2): -sh * ch, (2, 0): -sh * ch},
+                      (order_a + 1, order_b + 1))
+        return series_mul(poly, _cross_exp(order_a, order_b))
     return build

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import find_maxima
 from .squeezed_number import SqueezedNumberState, q_slice_imag
+from .tables import DistributionTable
 
 __all__ = [
     "OverlapParams",
@@ -30,6 +32,7 @@ __all__ = [
     "area_weight",
     "interference_phase",
     "approx_p",
+    "fit_scale",
     "OverlapComparison",
     "overlap_comparison",
 ]
@@ -41,17 +44,18 @@ class ClassicallyForbiddenError(ValueError):
 
 @dataclass(frozen=True)
 class OverlapParams:
-    """Slice point of the approximation: state label (m, r) and y with alpha = i y."""
+    """Slice points of the approximation: state label (m, r) and y with
+    alpha = i y, one number or an array of them."""
 
     m: int
     r: float
-    y: float
+    y: float | np.ndarray
 
     def __post_init__(self):
         if self.m < 0:
             raise ValueError("photon index must be nonnegative")
 
-    def depth(self) -> float:
+    def depth(self):
         """m + 1/2 - y^2 e^{-2r}; positive inside the classical region."""
         return self.m + 0.5 - self.y * self.y * math.exp(-2.0 * self.r)
 
@@ -61,23 +65,25 @@ def classical_boundary(m: int, r: float) -> float:
     return math.exp(r) * math.sqrt(m + 0.5)
 
 
-def _require_valid(p: OverlapParams) -> float:
+def _require_valid(p: OverlapParams):
     d = p.depth()
-    if d <= 0.0:
+    forbidden = d <= 0.0
+    if np.any(forbidden):
+        y = float(np.asarray(p.y)[forbidden][0])
         raise ClassicallyForbiddenError(
-            f"y={p.y} is classically forbidden for m={p.m}, r={p.r}; "
+            f"y={y} is classically forbidden for m={p.m}, r={p.r}; "
             "the area-of-overlap approximation does not exist there")
     return d
 
 
-def area_weight(p: OverlapParams) -> float:
+def area_weight(p: OverlapParams):
     """Single-patch overlap weight A = e^{-2 d / e^{2r}} / sqrt(2 pi d),
     with d = m + 1/2 - y^2/e^{2r}."""
     d = _require_valid(p)
-    return math.exp(-2.0 * d * math.exp(-2.0 * p.r)) / math.sqrt(2.0 * math.pi * d)
+    return np.exp(-2.0 * d * math.exp(-2.0 * p.r)) / np.sqrt(2.0 * math.pi * d)
 
 
-def interference_phase(p: OverlapParams) -> float:
+def interference_phase(p: OverlapParams):
     """Relative phase of the two overlap patches.
 
     phi = (m + 1/2) arctan(sqrt(d)/|yt|) - |yt| sqrt(d) - pi/4 with
@@ -86,21 +92,24 @@ def interference_phase(p: OverlapParams) -> float:
     terms vanish and phi -> -pi/4.
     """
     d = _require_valid(p)
-    yt = abs(p.y) * math.exp(-p.r)
-    if yt == 0.0:
-        return (p.m + 0.5) * (math.pi / 2.0) - math.pi / 4.0
-    return ((p.m + 0.5) * math.atan(math.sqrt(d) / yt)
-            - yt * math.sqrt(d)
-            - math.pi / 4.0)
+    yt = np.abs(p.y) * math.exp(-p.r)
+    return (p.m + 0.5) * np.arctan2(np.sqrt(d), yt) - yt * np.sqrt(d) - math.pi / 4.0
 
 
-def approx_p(p: OverlapParams) -> float:
+def approx_p(p: OverlapParams):
     """Interfering-patches probability 4 A cos^2(phi), unnormalized.
 
     Shapes are meaningful, absolute scale is not; comparisons against the
-    exact slice fit one global scale factor first.
+    exact slice fit one global scale factor first (:func:`fit_scale`).
     """
-    return 4.0 * area_weight(p) * math.cos(interference_phase(p)) ** 2
+    return 4.0 * area_weight(p) * np.cos(interference_phase(p)) ** 2
+
+
+def fit_scale(approx: np.ndarray, exact: np.ndarray) -> float:
+    """Least-squares factor s minimizing |s approx - exact|; NaN when
+    approx is identically zero."""
+    denom = float(approx @ approx)
+    return float(approx @ exact) / denom if denom > 0 else math.nan
 
 
 @dataclass(frozen=True)
@@ -118,18 +127,6 @@ class OverlapComparison:
     diverges_at_edge: bool
 
 
-def _interior_maxima(y: np.ndarray, v: np.ndarray, floor: float = 1e-6) -> np.ndarray:
-    thr = floor * v.max()
-    out = []
-    step = y[1] - y[0]
-    for i in range(1, len(y) - 1):
-        if v[i] > v[i - 1] and v[i] > v[i + 1] and v[i] > thr:
-            denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
-            shift = 0.0 if denom == 0.0 else (v[i - 1] - v[i + 1]) / (2.0 * denom)
-            out.append(y[i] + shift * step)
-    return np.array(out)
-
-
 def overlap_comparison(m: int, r: float, n_points: int = 4000,
                        interior_fraction: float = 0.8) -> OverlapComparison:
     """Evaluate both curves on (0, boundary) and compare their structure.
@@ -140,13 +137,12 @@ def overlap_comparison(m: int, r: float, n_points: int = 4000,
     """
     bound = classical_boundary(m, r)
     y = np.linspace(0.0, bound, n_points + 2)[1:-1]
-    approx = np.array([approx_p(OverlapParams(m, r, v)) for v in y])
+    approx = approx_p(OverlapParams(m, r, y))
     exact = q_slice_imag(y, SqueezedNumberState(m, r))
     interior = y < interior_fraction * bound
-    denom = float(approx[interior] @ approx[interior])
-    scale = float(approx[interior] @ exact[interior]) / denom if denom > 0 else 0.0
-    am = _interior_maxima(y[interior], approx[interior])
-    em = _interior_maxima(y[interior], exact[interior])
+    scale = fit_scale(approx[interior], exact[interior])
+    am, em = (find_maxima(DistributionTable(y[interior], v[interior]),
+                          floor=1e-6, refine=True).positions for v in (approx, exact))
     if len(am) and len(em):
         max_offset = max(float(np.min(np.abs(em - a))) for a in am)
     else:

@@ -112,7 +112,8 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = 1e-10,
     true comb structure.
 
     Raises :class:`NonConvergenceError` if the cutoff would exceed
-    ``hard_cap``.
+    ``hard_cap``, or as soon as the captured mass passes 1 + tail_eps,
+    which only cancellation error in :func:`fock_amplitude` can cause.
     """
     if not 0.0 < tail_eps < 1.0:
         raise ValueError("tail_eps must lie strictly between 0 and 1")
@@ -126,6 +127,10 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = 1e-10,
         p = fock_amplitude(n, state) ** 2
         realized.append(p)
         cum += p
+        if cum > 1.0 + tail_eps:
+            raise NonConvergenceError(
+                f"photon distribution for m={m}, r={r} lost precision: the "
+                f"captured mass {cum!r} exceeds 1 + tail_eps")
         if cum >= 1.0 - tail_eps:
             if 1.0 - cum <= 0.0:
                 break  # exactly exhausted (delta distribution at r = 0)

@@ -167,6 +167,13 @@ def test_transition_below_range_exits_4(capsys):
     assert "below" in err
 
 
+def test_photon_precision_loss_exits_4(capsys):
+    code, out, err = run(capsys, "photon", "--m", "100", "--r", "0.5")
+    assert code == 4
+    assert out == ""
+    assert "lost precision" in err
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["photon", "--m", "notanint", "--r", "1.0"])
@@ -190,3 +197,62 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "parity")
     assert code == 3
     assert not json.loads(out)["passed"]
+
+
+# ------------------------------------------------------------ table writer
+
+WRITER_COLUMNS = {
+    "n": np.array([0, 7, -3, 2 ** 40]),
+    "x": np.array([0.1, math.nan, -math.inf, -0.0]),
+    "y": np.array([1e-300, math.inf, 2.0 / 3.0, 123456789.0]),
+    "ok": np.array([True, False, True, False]),
+}
+
+
+def _reference_rows(columns):
+    # the per-value contract: integers (and booleans) as int, floats at .17g
+    def value(v):
+        return int(v) if isinstance(v, (bool, int, np.integer, np.bool_)) else float(v)
+    return [[value(v) for v in row] for row in zip(*columns.values())]
+
+
+def _reference_csv_body(columns):
+    def text(v):
+        return str(v) if isinstance(v, int) else format(v, ".17g")
+    header = ",".join(columns)
+    return "".join(f"{line}\n" for line in
+                   [header] + [",".join(text(v) for v in row)
+                               for row in _reference_rows(columns)])
+
+
+@pytest.mark.parametrize("columns", [
+    WRITER_COLUMNS,
+    {"n": np.array([], dtype=int), "x": np.array([])},
+    {"x": np.array([0.5])},
+])
+def test_write_table_matches_per_value_reference(tmp_path, columns):
+    config = cli.RunConfig("stub", {"k": 1})
+    csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+    cli._write_table(config, columns, "csv", str(csv_path), extra_header={"a": 1})
+    cli._write_table(config, columns, "json", str(json_path), extra_header={"a": 1})
+    lines = csv_path.read_text().splitlines(keepends=True)
+    assert lines[:3] == [f"# squeezelab {cli.__version__} schema v1\n",
+                         '# config {"command": "stub", "k": 1}\n', '# {"a": 1}\n']
+    assert "".join(lines[3:]) == _reference_csv_body(columns)
+    doc = json.loads(json_path.read_text())
+    assert doc["columns"] == list(columns)
+    assert doc["meta"] == {"a": 1}
+    want = _reference_rows(columns)
+    assert json.dumps(doc["rows"]) == json.dumps(want)
+    for got_row, want_row in zip(doc["rows"], want):
+        assert [type(v) for v in got_row] == [type(v) for v in want_row]
+
+
+def test_write_table_prints_masks_as_integers(capsys):
+    config = cli.RunConfig("stub", {})
+    cli._write_table(config, {"valid": np.array([True, False])}, "csv", None)
+    assert capsys.readouterr().out.splitlines()[-3:] == ["valid", "1", "0"]
+    cli._write_table(config, {"valid": np.array([True, False])}, "json", None)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [[1], [0]]
+    assert all(type(row[0]) is int for row in rows)  # not JSON true/false

@@ -7,8 +7,8 @@ import pytest
 
 from squeezelab.semiclassical import (ClassicallyForbiddenError,
                                       OverlapParams, approx_p, area_weight,
-                                      classical_boundary, interference_phase,
-                                      overlap_comparison)
+                                      classical_boundary, fit_scale,
+                                      interference_phase, overlap_comparison)
 
 
 def test_boundary_value():
@@ -74,6 +74,30 @@ def test_approx_p_nonnegative_and_vanishes_at_nodes():
     # where cos(phi) = 0 the approximation is exactly zero up to roundoff
     y = _first_phase_node(m, r)
     assert approx_p(OverlapParams(m, r, y)) < 1e-20
+
+
+@pytest.mark.parametrize("m, r", [(7, 1.4), (0, 0.0), (12, 2.0), (3, -0.7)])
+def test_approx_p_array_matches_scalar_calls(m, r):
+    ys = np.linspace(0.0, 0.999 * classical_boundary(m, r), 1001)
+    vec = approx_p(OverlapParams(m, r, ys))
+    one = np.array([approx_p(OverlapParams(m, r, float(y))) for y in ys])
+    assert vec.shape == ys.shape
+    assert np.all(np.abs(vec - one) <= 1e-15 * np.abs(one))
+
+
+def test_one_forbidden_point_in_an_array_raises():
+    m, r = 7, 1.4
+    ys = np.linspace(0.0, 0.9 * classical_boundary(m, r), 50)
+    ys[17] = 1.01 * classical_boundary(m, r)
+    for fn in (area_weight, interference_phase, approx_p):
+        with pytest.raises(ClassicallyForbiddenError, match=repr(float(ys[17]))):
+            fn(OverlapParams(m, r, ys))
+
+
+def test_fit_scale_least_squares_and_zero_curve():
+    approx = np.array([1.0, 2.0, 0.5])
+    assert fit_scale(approx, 3.0 * approx) == pytest.approx(3.0, rel=1e-15)
+    assert math.isnan(fit_scale(np.zeros(3), approx))
 
 
 def _first_phase_node(m, r, lo=1e-6, hi=None):

@@ -106,6 +106,13 @@ def test_photon_distribution_nonconvergence_error():
         photon_distribution(SqueezedNumberState(7, 1.4), 1e-10, hard_cap=30)
 
 
+def test_photon_distribution_raises_when_mass_exceeds_one():
+    # at (100, 0.5) the cancelling sum of fock_amplitude has no correct
+    # digit left; the table it would build carries mass 1.034
+    with pytest.raises(NonConvergenceError, match="lost precision"):
+        photon_distribution(SqueezedNumberState(100, 0.5))
+
+
 def test_photon_distribution_rejects_bad_tail():
     with pytest.raises(ValueError):
         photon_distribution(SqueezedNumberState(1, 0.5), 0.0)
