@@ -1,11 +1,13 @@
 """squeezelab: squeezed number states of a single field mode.
 
 Every representation (photon number, position, momentum, Husimi Q) is
-available through three mutually independent routes: closed-form sums,
-Taylor-coefficient extraction from squeezed-coherent generating functions,
-and a truncated-basis matrix-exponential oracle.  The analysis layer
-quantifies the oscillation structure those distributions share, and a
-semiclassical area-of-overlap model reproduces it on the Husimi slice.
+available through three mutually independent routes: closed forms (the
+b^dagger b eigenvector for photon amplitudes, one Hermite recurrence for
+the rest), Taylor-coefficient extraction from squeezed-coherent
+generating functions, and a truncated-basis matrix-exponential oracle.
+The analysis layer quantifies the oscillation structure those
+distributions share, and a semiclassical area-of-overlap model
+reproduces it on the Husimi slice.
 """
 
 __version__ = "0.1.0"
@@ -25,8 +27,7 @@ from .semiclassical import (ClassicallyForbiddenError, OverlapComparison,
                             OverlapParams, approx_p, area_weight,
                             classical_boundary, fit_scale, interference_phase,
                             overlap_comparison)
-from .special import (SignedLogNumber, hermite, hermite_reduction_check,
-                      log_factorial)
+from .special import hermite, hermite_reduction_check, log_factorial
 from .squeezed_coherent import (fock_amplitude_scs, momentum_wf_scs,
                                 overlap_coherent, position_wf_scs)
 from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
@@ -40,7 +41,7 @@ __all__ = [
     "ClassicallyForbiddenError", "CorrespondenceRow",
     "DistributionTable", "FockMatrix", "GridSpec", "MaximaReport",
     "NonConvergenceError", "OverlapComparison", "OverlapParams", "ScanError",
-    "SignedLogNumber", "SliceRatioReport", "SqueezedNumberState", "TableMeta",
+    "SliceRatioReport", "SqueezedNumberState", "TableMeta",
     "TransitionResult", "TrustRegionError",
     "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
     "classical_boundary", "coherent_amplitude", "default_dim",

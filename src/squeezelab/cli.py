@@ -104,7 +104,7 @@ def cmd_quad(args) -> int:
     lo = args.min if args.min is not None else -scale * (math.sqrt(2 * state.m + 1) + 4.0)
     hi = args.max if args.max is not None else -lo
     if not lo < hi:
-        raise UsageError("--min must be below --max")
+        raise ValueError("--min must be below --max")
     coords = np.linspace(lo, hi, args.points)
     wf = momentum_wf if args.kind == "momentum" else position_wf
     amps = np.asarray(wf(coords, state), dtype=complex)
@@ -227,10 +227,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
-class UsageError(ValueError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squeezelab",
@@ -314,9 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        parser.exit(EXIT_USAGE, f"error: {exc}\n")
-    except (ValueError,) as exc:
+    except ValueError as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
     except (NonConvergenceError, analysis.ScanError) as exc:
         sys.stderr.write(f"error: {exc}\n")

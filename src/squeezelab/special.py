@@ -1,97 +1,24 @@
 """Stable building blocks used throughout the package.
 
-Photon amplitudes of strongly squeezed states mix factorials of a few
-hundred with powers of tanh(r), so intermediate magnitudes routinely leave
-double range (171! already overflows a float).  Everything here therefore
-keeps magnitudes apart from values: a signed log-scale scalar for
-alternating sums, log-factorials, and one vectorized Hermite kernel whose
+Wave functions and Husimi amplitudes of strongly squeezed states mix
+factorials of a few hundred with high powers of their argument, so
+intermediate magnitudes routinely leave double range (171! already
+overflows a float).  Everything here therefore keeps magnitudes apart
+from values: log-factorials, and one vectorized Hermite kernel whose
 three-term recurrence carries a power-of-two scale beside its mantissa.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SignedLogNumber",
     "log_factorial",
     "hermite",
     "hermite_reduction_check",
 ]
-
-
-def _log1mexp(d: float) -> float:
-    """log(1 - exp(d)) for d < 0, accurate in both tails."""
-    if d > -math.log(2.0):
-        return math.log(-math.expm1(d))
-    return math.log1p(-math.exp(d))
-
-
-@dataclass(frozen=True)
-class SignedLogNumber:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    ``sign`` is -1, 0 or +1; ``log_mag`` is irrelevant when ``sign == 0``
-    (kept at -inf by the constructors).  Multiplication adds logs, addition
-    factors out the larger magnitude, so the representation never overflows
-    for log magnitudes up to about 1e308.  Cancellation between near-equal
-    terms of opposite sign costs relative accuracy exactly once, which is
-    why callers accumulate same-sign partial sums and subtract at the end.
-    """
-
-    sign: int
-    log_mag: float
-
-    @classmethod
-    def zero(cls) -> "SignedLogNumber":
-        return cls(0, -math.inf)
-
-    @classmethod
-    def from_float(cls, x: float) -> "SignedLogNumber":
-        if x == 0.0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_log(cls, sign: int, log_mag: float) -> "SignedLogNumber":
-        if sign == 0 or log_mag == -math.inf:
-            return cls.zero()
-        return cls(1 if sign > 0 else -1, log_mag)
-
-    def to_float(self) -> float:
-        """Convert back to an ordinary float (may overflow to inf)."""
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.log_mag)
-
-    def __neg__(self) -> "SignedLogNumber":
-        return SignedLogNumber(-self.sign, self.log_mag)
-
-    def __mul__(self, other: "SignedLogNumber") -> "SignedLogNumber":
-        s = self.sign * other.sign
-        if s == 0:
-            return SignedLogNumber.zero()
-        return SignedLogNumber(s, self.log_mag + other.log_mag)
-
-    def __add__(self, other: "SignedLogNumber") -> "SignedLogNumber":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = (self, other) if self.log_mag >= other.log_mag else (other, self)
-        d = small.log_mag - big.log_mag  # <= 0 by construction
-        if self.sign == other.sign:
-            return SignedLogNumber(big.sign, big.log_mag + math.log1p(math.exp(d)))
-        if d == 0.0:
-            # exact cancellation of equal magnitudes
-            return SignedLogNumber.zero()
-        return SignedLogNumber(big.sign, big.log_mag + _log1mexp(d))
-
-    def __sub__(self, other: "SignedLogNumber") -> "SignedLogNumber":
-        return self + (-other)
 
 
 def log_factorial(n: int) -> float:

@@ -1,10 +1,10 @@
-"""Closed forms for squeezed number states |m, r>.
+"""Amplitudes and distributions of squeezed number states |m, r>.
 
-Photon amplitudes as a finite sum evaluated in the log domain; position
-and momentum wave functions, the coherent-basis amplitude and the Husimi
-Q function through the rescaled Hermite kernel.  Both stay meaningful out
-to photon numbers in the hundreds where the interesting oscillation
-structure lives.
+Photon amplitudes as the eigenvector of b^dagger b with eigenvalue m,
+one parity block at a time; position and momentum wave functions, the
+coherent-basis amplitude and the Husimi Q function through the rescaled
+Hermite kernel.  Both stay meaningful out to photon numbers in the
+thousands where the interesting oscillation structure lives.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .special import SignedLogNumber, hermite, log_factorial
+from .special import hermite, log_factorial
 from .squeezed_coherent import R_EPS
 from .tables import DistributionTable, GridSpec, TableMeta
 
@@ -53,104 +54,121 @@ class SqueezedNumberState:
         object.__setattr__(self, "r", float(self.r))
 
 
-def fock_amplitude(n: int, state: SqueezedNumberState) -> float:
-    """<n | m, r>, a real number.
+def _column(state: SqueezedNumberState, rows: int) -> np.ndarray:
+    """<p + 2k | m, r> for k < rows, p = m % 2.
 
-    Evaluates the finite sum
-
-        sqrt(m! n!) / cosh^{(n+m+1)/2}(r)
-            * sum_k (sinh r / 2)^{(n+m-2k)/2} (-1)^{(n-k)/2}
-                    / (k! ((m-k)/2)! ((n-k)/2)!)
-
-    with k running over the common parity of n and m up to min(n, m).
-    Mixed parity is short-circuited to an exact 0.0 before the loop, and
-    r = 0 returns the Kronecker delta.  The alternating sum is accumulated
-    as two same-sign log-domain partial sums subtracted once at the end;
-    plain float accumulation loses the small outer maxima of the photon
-    distribution, which sit thirty orders of magnitude below the peak
-    terms that cancel against each other.
+    b = cosh(r) a + sinh(r) a^dagger annihilates the squeezed vacuum, so
+    b^dagger b |m, r> = m |m, r>.  Within the parity p, b^dagger b is
+    symmetric tridiagonal (diagonal n cosh 2r + sinh^2 r, off-diagonal
+    sinh(2r)/2 sqrt((n+1)(n+2)) between n and n + 2), and the amplitudes
+    are its eigenvector of index m // 2.  Truncating the block to ``rows``
+    rows leaves rows well inside it exact to rounding.
     """
-    if n < 0:
-        raise ValueError("photon index must be nonnegative")
     m, r = state.m, state.r
     if abs(r) < R_EPS:
-        return 1.0 if n == m else 0.0
-    if (n + m) % 2 == 1:
-        return 0.0
-    sh = math.sinh(r)
-    log_half_sh = math.log(abs(sh) / 2.0)
-    sh_sign = 1 if sh > 0 else -1
-    pos = SignedLogNumber.zero()
-    neg = SignedLogNumber.zero()
-    for k in range(n % 2, min(n, m) + 1, 2):
-        e = (n + m) // 2 - k
-        lmag = (e * log_half_sh
-                - log_factorial(k)
-                - log_factorial((m - k) // 2)
-                - log_factorial((n - k) // 2))
-        sign = (-1) ** (((n - k) // 2) % 2) * (sh_sign ** (e % 2))
-        term = SignedLogNumber.from_log(sign, lmag)
-        if sign > 0:
-            pos = pos + term
-        else:
-            neg = neg + term
-    total = pos + neg  # single subtraction between the two buckets
-    log_pref = (0.5 * (log_factorial(m) + log_factorial(n))
-                - 0.5 * (n + m + 1) * math.log(math.cosh(r)))
-    return (total * SignedLogNumber.from_log(1, log_pref)).to_float()
+        col = np.zeros(rows)
+        col[m // 2] = 1.0
+        return col
+    n = np.arange(m % 2, m % 2 + 2 * rows, 2, dtype=float)
+    diag = n * math.cosh(2.0 * r) + math.sinh(r) ** 2
+    off = 0.5 * math.sinh(2.0 * r) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
+    col = eigh_tridiagonal(diag, off, select="i", select_range=(m // 2, m // 2))[1][:, 0]
+    # The solver's sign is arbitrary.  The first row,
+    #   <p|m,r> = sqrt(m!) (sinh r / 2)^j / (j! cosh^{(m+p+1)/2} r), j = m // 2,
+    # has the sign of sinh(r)^j; the eigen-equation's forward recurrence,
+    # stable while the column grows, carries it up to the first row that
+    # stands clear of rounding.
+    mag = np.abs(col)
+    top = int(np.argmax(mag >= 1e-3 * mag.max()))
+    a, b = 0.0, math.copysign(1.0, r) ** (m // 2)
+    for k in range(top):
+        a, b = b, ((m - diag[k]) * b - off[k - 1] * a) / off[k]
+        scale = max(abs(a), abs(b))
+        a, b = a / scale, b / scale
+    return col if b * col[top] > 0.0 else -col
+
+
+def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
+    """(column, truncation): the amplitudes of one parity block grown by
+    doubling until the cutoff rule of :func:`photon_distribution` fires in
+    its lower half, and the truncation record of that table."""
+    if not 1e-14 <= tail_eps < 1.0:
+        raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
+                         "of the distribution cannot resolve less")
+    m, r = state.m, state.r
+    window = math.ceil(10.0 * math.exp(2.0 * abs(r)))
+    cap_rows = (hard_cap - m % 2) // 2 + 1  # rows with n <= hard_cap
+    rows = 2 * (window + m // 2 + 1)
+    while True:
+        rows = max(min(rows, 2 * cap_rows), m // 2 + 1)
+        col = _column(state, rows)
+        probs = col[:min(rows // 2, cap_rows)] ** 2
+        cum = np.cumsum(probs)
+        fires = cum >= 1.0 - tail_eps
+        if abs(r) >= R_EPS:  # at r = 0 the mass is exhausted at row m // 2
+            i = np.arange(len(probs))
+            rises = np.cumsum(np.concatenate(([0], probs[1:] > probs[:-1])))
+            fires &= (i >= window - 1) & (rises == rises[np.maximum(i - window + 1, 0)])
+        if fires.any():
+            cut = int(np.argmax(fires))
+            return col, {"cutoff": m % 2 + 2 * cut, "tail_eps": tail_eps,
+                         "cumulative": float(cum[cut]), "window": window}
+        if rows >= 2 * cap_rows:
+            raise NonConvergenceError(
+                f"photon distribution for m={m}, r={r} did not converge "
+                f"within the cutoff cap {hard_cap}")
+        rows *= 2
+
+
+def fock_amplitude(n, state: SqueezedNumberState):
+    """<n | m, r>, real; vectorized over integer n.
+
+    Read from the b^dagger b eigenvector of the parity block (see
+    :func:`photon_distribution`), sized to the state's photon cutoff and to
+    twice the largest n requested, so every row read lies in the block's
+    converged lower half.  Mixed parity gives an exact 0.0 and r = 0 the
+    Kronecker delta.  Raises :class:`NonConvergenceError` where
+    :func:`photon_distribution` does at its defaults.
+    """
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError("photon index must be nonnegative")
+    parity = state.m % 2
+    col = _photon_column(state, 1e-10, 100_000)[0]
+    rows = 2 * ((int(n.max(initial=0)) - parity) // 2 + 1)
+    if rows > len(col):
+        col = _column(state, rows)
+    same = (n - parity) % 2 == 0
+    amps = np.where(same, col[np.where(same, n - parity, 0) // 2], 0.0)
+    return amps if n.ndim else float(amps)
 
 
 def photon_distribution(state: SqueezedNumberState, tail_eps: float = 1e-10,
                         hard_cap: int = 100_000) -> DistributionTable:
     """Photon-number probabilities P_n = |<n|m,r>|^2 up to an adaptive cutoff.
 
-    The cutoff N grows until the accumulated probability reaches
+    The amplitudes of one parity are the eigenvector of b^dagger b with
+    eigenvalue m, computed on a block of that parity that doubles until,
+    within its lower half, the accumulated probability reaches
     1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity probabilities
-    are nonincreasing.  The second condition keeps the truncation from
-    stopping inside a trough of the oscillating distribution.  Rows of the
+    are nonincreasing; the cutoff N is the first row where both hold.  The
+    second condition keeps the truncation from stopping inside a trough of
+    the oscillating distribution.  At r = 0 the cutoff is m.  Rows of the
     opposite parity are kept as explicit zeros so the table plots with the
     true comb structure.
 
-    Raises :class:`NonConvergenceError` if the cutoff would exceed
-    ``hard_cap``, or as soon as the captured mass passes 1 + tail_eps,
-    which only cancellation error in :func:`fock_amplitude` can cause.
+    ``tail_eps`` must lie in [1e-14, 1): a normalized float64 column cannot
+    resolve a smaller tail.  Raises :class:`NonConvergenceError` if the
+    cutoff would exceed ``hard_cap``.
     """
-    if not 0.0 < tail_eps < 1.0:
-        raise ValueError("tail_eps must lie strictly between 0 and 1")
-    m, r = state.m, state.r
-    parity = m % 2
-    window = math.ceil(10.0 * math.exp(2.0 * abs(r)))
-    realized: list[float] = []
-    cum = 0.0
-    n = parity
-    while True:
-        p = fock_amplitude(n, state) ** 2
-        realized.append(p)
-        cum += p
-        if cum > 1.0 + tail_eps:
-            raise NonConvergenceError(
-                f"photon distribution for m={m}, r={r} lost precision: the "
-                f"captured mass {cum!r} exceeds 1 + tail_eps")
-        if cum >= 1.0 - tail_eps:
-            if 1.0 - cum <= 0.0:
-                break  # exactly exhausted (delta distribution at r = 0)
-            tail = realized[-window:]
-            if len(realized) >= window and all(b <= a for a, b in zip(tail, tail[1:])):
-                break
-        n += 2
-        if n > hard_cap:
-            raise NonConvergenceError(
-                f"photon distribution for m={m}, r={r} did not converge "
-                f"within the cutoff cap {hard_cap}")
-    last = parity + 2 * (len(realized) - 1)
-    coords = np.arange(last + 1)
+    parity = state.m % 2
+    col, truncation = _photon_column(state, tail_eps, hard_cap)
+    last = truncation["cutoff"]
     probs = np.zeros(last + 1)
-    probs[parity::2] = realized
-    meta = TableMeta(state=(m, r), representation="photon",
-                     truncation={"cutoff": int(last), "tail_eps": tail_eps,
-                                 "cumulative": cum, "window": int(window)},
-                     parity=parity)
-    return DistributionTable(coords, probs, meta)
+    probs[parity::2] = col[:last // 2 + 1] ** 2
+    meta = TableMeta(state=(state.m, state.r), representation="photon",
+                     truncation=truncation, parity=parity)
+    return DistributionTable(np.arange(last + 1), probs, meta)
 
 
 def position_wf(q, state: SqueezedNumberState):

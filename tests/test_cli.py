@@ -167,11 +167,19 @@ def test_transition_below_range_exits_4(capsys):
     assert "below" in err
 
 
-def test_photon_precision_loss_exits_4(capsys):
-    code, out, err = run(capsys, "photon", "--m", "100", "--r", "0.5")
+def test_photon_cutoff_cap_exits_4(capsys):
+    # at r = 4.5 the tail mass stays above 1e-10 past n = 100 000
+    code, out, err = run(capsys, "photon", "--m", "0", "--r", "4.5")
     assert code == 4
     assert out == ""
-    assert "lost precision" in err
+    assert "did not converge within the cutoff cap" in err
+
+
+def test_photon_tail_eps_below_floor_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["photon", "--m", "3", "--r", "0.8", "--tail-eps", "1e-15"])
+    assert exc.value.code == 2
+    assert "tail_eps" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2():

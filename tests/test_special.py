@@ -1,15 +1,12 @@
-"""Tests for the log-domain scalar, factorials and the Hermite kernel."""
+"""Tests for the log-factorial and the Hermite kernel."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from squeezelab.special import (SignedLogNumber, hermite,
-                                hermite_reduction_check, log_factorial)
+from squeezelab.special import hermite, hermite_reduction_check, log_factorial
 
 
 def hermite_coeffs_exact(n):
@@ -52,74 +49,6 @@ def test_log_factorial_vs_compensated_sum(n):
 def test_log_factorial_rejects_negative():
     with pytest.raises(ValueError):
         log_factorial(-1)
-
-
-# ------------------------------------------------------------ signed log scalar
-
-def test_sln_zero_roundtrip():
-    z = SignedLogNumber.from_float(0.0)
-    assert z.sign == 0 and z.to_float() == 0.0
-
-
-def test_sln_roundtrip_monotone():
-    # exp() has condition number |log x|, so the round trip loses up to
-    # ~700 ulp at the extremes of double range; 1e-12 covers that
-    xs = [-3.5e10, -1.0, -1e-12, 2e-300, 7.25, 1.0e200]
-    for x in xs:
-        assert SignedLogNumber.from_float(x).to_float() == pytest.approx(x, rel=1e-12)
-    # monotone in log_mag at fixed sign
-    mags = [-600.0, -1.0, 0.0, 2.5, 600.0]
-    vals = [SignedLogNumber.from_log(1, m).to_float() for m in mags]
-    assert vals == sorted(vals)
-    neg = [SignedLogNumber.from_log(-1, m).to_float() for m in mags]
-    assert neg == sorted(neg, reverse=True)
-
-
-def test_sln_huge_magnitudes_closed():
-    a = SignedLogNumber.from_log(1, 9.0e5)
-    b = SignedLogNumber.from_log(-1, 9.0e5 - 1.0)
-    c = a + b
-    assert c.sign == 1
-    assert math.isfinite(c.log_mag)
-    d = a * a
-    assert d.log_mag == pytest.approx(1.8e6)
-
-
-def test_sln_exact_cancellation():
-    a = SignedLogNumber.from_float(3.75)
-    assert (a + (-a)).sign == 0
-
-
-finite_vals = st.floats(min_value=-100.0, max_value=100.0,
-                        allow_nan=False, allow_infinity=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(finite_vals, finite_vals, st.sampled_from([-1, 1]), st.sampled_from([-1, 1]),
-       st.sampled_from([-1, 1]), finite_vals)
-def test_sln_add_mul_associative(la, lb, sa, sb, sc, lc):
-    a = SignedLogNumber.from_log(sa, la)
-    b = SignedLogNumber.from_log(sb, lb)
-    c = SignedLogNumber.from_log(sc, lc)
-    lhs = ((a + b) + c).to_float()
-    rhs = (a + (b + c)).to_float()
-    scale = max(abs(lhs), abs(rhs), math.exp(la), math.exp(lb), math.exp(lc))
-    assert abs(lhs - rhs) <= 1e-12 * scale
-    p_lhs = ((a * b) * c)
-    p_rhs = (a * (b * c))
-    assert p_lhs.sign == p_rhs.sign
-    if p_lhs.sign != 0:
-        assert p_lhs.log_mag == pytest.approx(p_rhs.log_mag, abs=1e-12 * max(1.0, abs(p_lhs.log_mag)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=-700, max_value=700, allow_nan=False))
-def test_sln_float_agreement(lm):
-    # addition agrees with plain float arithmetic inside float range
-    a = SignedLogNumber.from_log(1, lm)
-    b = SignedLogNumber.from_log(-1, lm - 0.5)
-    expected = math.exp(lm) - math.exp(lm - 0.5)
-    assert (a + b).to_float() == pytest.approx(expected, rel=1e-12)
 
 
 # ------------------------------------------------------------------- hermite

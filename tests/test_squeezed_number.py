@@ -45,8 +45,13 @@ def test_fock_amplitude_parity_zero_is_structural():
 
 def test_fock_amplitude_squeezed_vacuum_closed_form():
     st = SqueezedNumberState(0, 1.2)
-    for n in (0, 2, 6, 40):
-        assert fock_amplitude(n, st) ** 2 == pytest.approx(closed_form_p_m0(n, 1.2), rel=1e-12)
+    ns = np.array([0, 2, 6, 40, 3])
+    amps = fock_amplitude(ns, st)
+    assert amps.shape == ns.shape and amps[-1] == 0.0
+    for n, a in zip(ns.tolist(), amps):
+        assert abs(a - fock_amplitude(n, st)) <= 1e-15
+        if n % 2 == 0:
+            assert a ** 2 == pytest.approx(closed_form_p_m0(n, 1.2), rel=1e-12)
 
 
 def test_fock_amplitude_m1_closed_form():
@@ -106,16 +111,64 @@ def test_photon_distribution_nonconvergence_error():
         photon_distribution(SqueezedNumberState(7, 1.4), 1e-10, hard_cap=30)
 
 
-def test_photon_distribution_raises_when_mass_exceeds_one():
-    # at (100, 0.5) the cancelling sum of fock_amplitude has no correct
-    # digit left; the table it would build carries mass 1.034
-    with pytest.raises(NonConvergenceError, match="lost precision"):
-        photon_distribution(SqueezedNumberState(100, 0.5))
+def fock_amplitude_mp(n, m, r, mp):
+    """<n|m,r> from the finite sum over k of the common parity of n and m,
+
+        sqrt(m! n!) / cosh^{(n+m+1)/2}(r)
+            * sum_k (sinh r / 2)^{(n+m-2k)/2} (-1)^{(n-k)/2}
+                    / (k! ((m-k)/2)! ((n-k)/2)!),
+
+    in mpmath at a precision 30 digits beyond the cancellation the sum
+    itself shows (60 digits at least)."""
+    dps = 60
+    while True:
+        with mp.workdps(dps):
+            rr = mp.mpf(r)
+            half_sh = mp.sinh(rr) / 2
+            terms = [half_sh ** ((n + m - 2 * k) // 2) * (-1) ** ((n - k) // 2)
+                     / (mp.factorial(k) * mp.factorial((m - k) // 2)
+                        * mp.factorial((n - k) // 2))
+                     for k in range(n % 2, min(n, m) + 1, 2)]
+            total = mp.fsum(terms)
+            lost = int(mp.ceil(mp.log10(mp.fsum(abs(t) for t in terms) / abs(total))))
+            if lost + 30 <= dps:
+                return float(total * mp.sqrt(mp.factorial(m) * mp.factorial(n))
+                             / mp.cosh(rr) ** (mp.mpf(n + m + 1) / 2))
+        dps = lost + 40
+
+
+@pytest.mark.parametrize("m,r", [(20, 2.0), (40, 2.0), (60, 1.0), (100, 0.5),
+                                 (300, 1.5), (40, -1.0)])
+def test_photon_precision_envelope(m, r):
+    # the finite sum cancels by up to ~70 digits on these states; the
+    # eigenvector must keep signed amplitudes to 1e-9 relative on every
+    # sampled row of the table with P >= 1e-10
+    mp = pytest.importorskip("mpmath")
+    st = SqueezedNumberState(m, r)
+    table = photon_distribution(st)
+    assert table.probs.sum() == pytest.approx(1.0, abs=1e-9)
+    cutoff = table.meta.truncation["cutoff"]
+    ns = m % 2 + 2 * np.unique(np.linspace(0, cutoff // 2, 60).astype(int))
+    ref = np.array([fock_amplitude_mp(int(n), m, r, mp) for n in ns])
+    keep = ref ** 2 >= 1e-10
+    assert keep.sum() >= 25
+    ns, ref = ns[keep], ref[keep]
+    assert np.max(np.abs(fock_amplitude(ns, st) - ref) / np.abs(ref)) <= 1e-9
+    assert np.max(np.abs(table.probs[ns] - ref ** 2) / ref ** 2) <= 2e-9
 
 
 def test_photon_distribution_rejects_bad_tail():
     with pytest.raises(ValueError):
         photon_distribution(SqueezedNumberState(1, 0.5), 0.0)
+
+
+def test_photon_distribution_tail_eps_floor():
+    # a normalized float64 column cannot resolve a tail below 1e-14
+    st = SqueezedNumberState(12, 3.0)
+    with pytest.raises(ValueError, match="tail_eps"):
+        photon_distribution(st, 1e-15)
+    table = photon_distribution(st, 1e-14)
+    assert table.meta.truncation["cumulative"] >= 1.0 - 1e-14
 
 
 @pytest.mark.parametrize("r", [0.5, 1.2, 2.0])
