@@ -25,7 +25,7 @@ import numpy as np
 
 from .special import log_factorial
 from .squeezed_coherent import R_EPS
-from .squeezed_number import SqueezedNumberState
+from .squeezed_number import NonConvergenceError, SqueezedNumberState
 
 __all__ = [
     "series",
@@ -121,7 +121,8 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
     kind selects the bra: 'fock' (value = photon index), 'position'
     (value = q), 'momentum' (value = p) or 'coherent' (value = alpha).
     Builds e^{|beta|^2/2} <bra | beta, r> as a series of order m and
-    returns sqrt(m!) times its beta^m coefficient.
+    returns sqrt(m!) times its beta^m coefficient, or raises
+    :class:`NonConvergenceError` where a 'fock' kernel overflows float64.
     """
     m, r = state.m, state.r
     size = m + 1
@@ -129,7 +130,11 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
         n = int(value)
         if n < 0:
             raise ValueError("photon index must be nonnegative")
-        kern = _fock_kernel(n, r, m)
+        try:
+            kern = _fock_kernel(n, r, m)
+        except OverflowError:
+            raise NonConvergenceError(
+                f"series kernel of <n={n} | m={m}, r={r}> overflows float64") from None
         pref = 1.0 + 0j
     elif kind == "position":
         q = float(value)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .special import hermite, log_factorial
 from .squeezed_coherent import R_EPS
@@ -64,6 +63,7 @@ def _column(state: SqueezedNumberState, rows: int) -> np.ndarray:
     are its eigenvector of index m // 2.  Truncating the block to ``rows``
     rows leaves rows well inside it exact to rounding.
     """
+    from scipy.linalg import eigh_tridiagonal
     m, r = state.m, state.r
     if abs(r) < R_EPS:
         col = np.zeros(rows)

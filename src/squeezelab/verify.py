@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import analysis, fock_oracle, genfun
 from .squeezed_coherent import momentum_wf_scs, position_wf_scs
@@ -45,6 +44,7 @@ def suite_parity(max_m: int = 12) -> list[dict]:
 
 
 def suite_normalization(max_m: int = 7) -> list[dict]:
+    from scipy.integrate import quad
     checks = []
     states = [SqueezedNumberState(m, r) for m in (0, 1, min(7, max_m))
               for r in (0.0, 0.5, 1.4)]
@@ -62,9 +62,10 @@ def suite_normalization(max_m: int = 7) -> list[dict]:
     checks.append(_check("position densities integrate to 1", worst_q, 1e-9))
     checks.append(_check("momentum densities integrate to 1", worst_p, 1e-9))
 
+    nodes = np.polynomial.legendre.leggauss(800)
     worst = 0.0
     for st in states:
-        worst = max(worst, abs(_q_total_mass(st) - 1.0))
+        worst = max(worst, abs(_q_total_mass(st, nodes) - 1.0))
     checks.append(_check("Husimi functions integrate to 1", worst, 1e-6))
 
     worst = 0.0
@@ -81,13 +82,13 @@ def suite_normalization(max_m: int = 7) -> list[dict]:
     return checks
 
 
-def _q_total_mass(st: SqueezedNumberState, n_nodes: int = 800) -> float:
-    """Integral of Q over the plane by a Gauss-Legendre product rule on a
-    box holding all but ~1e-12 of the mass (the Im pad scales with e^r
-    because the vacuum smoothing of Q is stretched along that axis)."""
+def _q_total_mass(st: SqueezedNumberState, nodes) -> float:
+    """Integral of Q over the plane by the Gauss-Legendre ``nodes`` on a box
+    holding all but ~1e-12 of the mass (the Im pad scales with e^r because
+    the vacuum smoothing of Q is stretched along that axis)."""
     lim_re = math.exp(-st.r) * math.sqrt(2.0 * st.m + 1.0) + 7.0
     lim_im = math.exp(st.r) * (math.sqrt(2.0 * st.m + 1.0) + 7.0)
-    x, wx = np.polynomial.legendre.leggauss(n_nodes)
+    x, wx = nodes
     re = lim_re * x
     im = lim_im * x
     grid = re[None, :] + 1j * im[:, None]
@@ -97,22 +98,28 @@ def _q_total_mass(st: SqueezedNumberState, n_nodes: int = 800) -> float:
 
 def suite_oracle(max_m: int = 12) -> list[dict]:
     checks = []
+    ns = np.arange(max_m + 1)
     worst_co = worst_go = worst_cg = 0.0
     for r in ORACLE_R_SET:
-        dim = fock_oracle.default_dim(max_m, r)
-        s = fock_oracle.build_squeeze(r, dim)
-        for m in range(max_m + 1):
-            st = SqueezedNumberState(m, r)
-            eigen = fock_amplitude(np.arange(max_m + 1), st)
-            for n in range(max_m + 1):
-                oracle = s.entries[n, m]
-                series = genfun.extract_amplitude("fock", n, st).real
-                worst_co = max(worst_co, abs(eigen[n] - oracle))
-                worst_go = max(worst_go, abs(series - oracle))
-                worst_cg = max(worst_cg, abs(eigen[n] - series))
+        states = [SqueezedNumberState(m, r) for m in ns]
+        oracle = fock_oracle.oracle_amplitude(ns[:, None], ns, r)
+        eigen = np.column_stack([fock_amplitude(ns, st) for st in states])
+        series = np.array([[genfun.extract_amplitude("fock", n, st).real for st in states]
+                           for n in ns])
+        worst_co = max(worst_co, float(np.abs(eigen - oracle).max()))
+        worst_go = max(worst_go, float(np.abs(series - oracle).max()))
+        worst_cg = max(worst_cg, float(np.abs(eigen - series).max()))
     checks.append(_check("eigenvector vs matrix exponential", worst_co, 1e-8))
     checks.append(_check("series extraction vs matrix exponential", worst_go, 1e-8))
     checks.append(_check("eigenvector vs series extraction", worst_cg, 1e-8))
+
+    worst = 0.0
+    for m, r in ((60, 1.0), (100, 0.5), (40, 2.0)):
+        n = np.arange(fock_oracle.default_dim(m, r) // 2)
+        eigen = fock_amplitude(n, SqueezedNumberState(m, r))
+        worst = max(worst, float(np.abs(eigen - fock_oracle.oracle_amplitude(n, m, r)).max()))
+    checks.append(_check("eigenvector vs matrix exponential at (60, 1), (100, 0.5), (40, 2)",
+                         worst, 1e-12))
 
     s = fock_oracle.build_squeeze(1.0, 256)
     gram = s.entries.T @ s.entries - np.eye(256)
@@ -164,20 +171,17 @@ def suite_genfun(max_m: int = 12) -> list[dict]:
     checks.append(_check("squeezed number kernel gives m delta", worst_nb, 1e-10))
 
     r = 0.8
-    dim = fock_oracle.default_dim(8, r)
-    s = fock_oracle.build_squeeze(r, dim).entries
-    num = np.arange(dim)
-    worst = 0.0
-    for n in range(9):
-        for m in range(9):
-            sandwich = float(np.sum(num * s[:, n] * s[:, m]))
-            elem = genfun.extract_element(n, m, r, genfun.photon_number_kernel(r))
-            worst = max(worst, abs(elem - sandwich))
+    num = np.arange(fock_oracle.default_dim(8, r))
+    s = fock_oracle.oracle_amplitude(num[:, None], np.arange(9), r, 2 * len(num))
+    elem = np.array([[genfun.extract_element(n, m, r, genfun.photon_number_kernel(r))
+                      for m in range(9)] for n in range(9)])
+    worst = float(np.abs(elem - s.T @ (num[:, None] * s)).max())
     checks.append(_check("photon number kernel vs oracle sandwich", worst, 1e-8))
     return checks
 
 
 def suite_fourier(max_m: int = 8) -> list[dict]:
+    from scipy.integrate import quad
     checks = []
     worst = 0.0
     for m, r in ((0, 0.0), (1, 0.9), (3, 1.5), (min(8, max_m), 1.2)):

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +193,16 @@ def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["photon", "--m", "-3", "--r", "1.0"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads lazily, in the functions that use it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, squeezelab.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_single_suite_passes(capsys):

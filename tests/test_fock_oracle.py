@@ -1,4 +1,6 @@
-"""Tests for the truncated-basis matrix-exponential oracle."""
+"""Tests for the truncated-basis matrix-exponential oracle: the column
+oracle behind every amplitude, and the dense matrix behind the operator
+identities."""
 
 import math
 
@@ -7,8 +9,7 @@ import pytest
 
 from squeezelab.fock_oracle import (TrustRegionError, annihilation,
                                     bogoliubov_residual, build_squeeze,
-                                    creation, default_dim, oracle_amplitude,
-                                    trusted_dim)
+                                    default_dim, oracle_amplitude, trusted_dim)
 from squeezelab.squeezed_number import SqueezedNumberState, fock_amplitude
 
 
@@ -16,7 +17,6 @@ def test_ladder_matrix_entries():
     a = annihilation(5)
     assert a[0, 1] == 1.0 and a[1, 2] == pytest.approx(math.sqrt(2))
     assert np.count_nonzero(a) == 4
-    assert np.array_equal(creation(5), a.T)
 
 
 def test_build_squeeze_identity_at_r_zero():
@@ -32,13 +32,15 @@ def test_build_squeeze_rejects_tiny_dim():
 
 
 def test_vacuum_column_matches_squeezed_vacuum_law():
-    # |<n|0,r>|^2 = n!/((n/2)!^2 2^n) tanh^n r / cosh r on trusted rows
+    # |<n|0,r>|^2 = n!/((n/2)!^2 2^n) tanh^n r / cosh r on every row the
+    # column oracle returns
     r = 1.0
-    s = build_squeeze(r, default_dim(0, r))
-    for n in range(0, s.trusted, 2):
+    ns = list(range(0, default_dim(0, r) // 2, 2))
+    got = oracle_amplitude(ns, 0, r)
+    for n, amp in zip(ns, got):
         want = (math.factorial(n) / (math.factorial(n // 2) ** 2 * 2 ** n)
                 * math.tanh(r) ** n / math.cosh(r))
-        assert s.entries[n, 0] ** 2 == pytest.approx(want, abs=1e-9)
+        assert amp ** 2 == pytest.approx(want, abs=1e-9)
 
 
 def test_unitarity_on_trusted_block():
@@ -51,26 +53,46 @@ def test_unitarity_on_trusted_block():
 def test_oracle_amplitude_trivials():
     for nm in (0, 3, 7):
         assert oracle_amplitude(nm, nm, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert abs(oracle_amplitude(1, 0, 0.9)) < 1e-12  # parity
+    assert oracle_amplitude(1, 0, 0.9) == 0.0  # parity
+    # broadcasting n against m gives the same numbers as scalar calls
+    grid = oracle_amplitude(np.arange(4)[:, None], [0, 3], 0.9)
+    assert grid.shape == (4, 2)
+    for n in range(4):
+        for j, m in enumerate((0, 3)):
+            assert grid[n, j] == oracle_amplitude(n, m, 0.9, dim=default_dim(3, 0.9))
 
 
 def test_oracle_amplitude_matches_closed_form_spec_point():
-    got = oracle_amplitude(11, 7, 1.4, dim=400)
+    got = oracle_amplitude(11, 7, 1.4)
     want = fock_amplitude(11, SqueezedNumberState(7, 1.4))
     assert got == pytest.approx(want, abs=1e-8)
 
 
 def test_oracle_amplitude_outside_trusted_block_raises():
-    with pytest.raises(TrustRegionError):
-        oracle_amplitude(380, 0, 1.4, dim=400)
+    with pytest.raises(TrustRegionError, match="dim // 2"):
+        oracle_amplitude(380, 0, 1.4, dim=400)  # row in the upper half
+    with pytest.raises(TrustRegionError, match=r"m = \[12\]"):
+        oracle_amplitude(0, 12, 1.4, dim=300)  # column reaches the edge
+    with pytest.raises(ValueError):
+        oracle_amplitude(-1, 0, 0.5)
 
 
 def test_trusted_block_is_dim_stable_under_doubling():
-    for r, dim in ((0.8, 200), (1.4, 600)):
-        s1 = build_squeeze(r, dim)
-        s2 = build_squeeze(r, 2 * dim)
-        t = s1.trusted
-        assert np.abs(s1.entries[:t, :t] - s2.entries[:t, :t]).max() < 1e-10
+    # columns that pass the edge rule do not move when the basis doubles
+    ms = np.arange(13)
+    for r, dim in ((0.8, 300), (1.4, 900)):
+        ns = np.arange(dim // 2)[:, None]
+        s1 = oracle_amplitude(ns, ms, r, dim)
+        s2 = oracle_amplitude(ns, ms, r, 2 * dim)
+        assert np.abs(s1 - s2).max() < 1e-13
+
+
+@pytest.mark.parametrize("m,r", [(60, 1.0), (100, 0.5)])
+def test_column_oracle_matches_eigenvector_at_large_m(m, r):
+    n = np.arange(default_dim(m, r) // 2)
+    got = oracle_amplitude(n, m, r)
+    want = fock_amplitude(n, SqueezedNumberState(m, r))
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_trusted_dim_scales_down_with_squeezing():

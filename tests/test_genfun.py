@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squeezelab.fock_oracle import build_squeeze, default_dim
+from squeezelab.fock_oracle import default_dim, oracle_amplitude
 from squeezelab.genfun import (exp_series, extract_amplitude, extract_element,
                                identity_kernel, photon_number_kernel, series,
                                series_mul, transformed_number_kernel)
-from squeezelab.squeezed_number import (SqueezedNumberState,
+from squeezelab.squeezed_number import (NonConvergenceError,
+                                        SqueezedNumberState,
                                         coherent_amplitude, fock_amplitude,
                                         momentum_wf, position_wf)
 
@@ -108,6 +109,13 @@ def test_extract_fock_matches_closed_form(r):
             assert abs(got.imag) < 1e-14
 
 
+def test_extract_fock_overflow_raises_package_error():
+    st = SqueezedNumberState(7, 1.4)
+    for n in (279, 400):
+        with pytest.raises(NonConvergenceError, match=f"n={n} \\| m=7, r=1.4"):
+            extract_amplitude("fock", n, st)
+
+
 @pytest.mark.parametrize("r", R_SET)
 def test_extract_position_matches_closed_form(r):
     for m in (0, 1, 7, 12):
@@ -187,15 +195,14 @@ def test_extract_element_transformed_number_operator():
 
 def test_extract_element_photon_number_vs_oracle():
     r = 0.8
-    dim = default_dim(8, r)
-    s = build_squeeze(r, dim).entries
-    weights = np.arange(dim)
+    weights = np.arange(default_dim(8, r))
+    s = oracle_amplitude(weights[:, None], np.arange(9), r, 2 * len(weights))
+    sandwich = s.T @ (weights[:, None] * s)
     worst = 0.0
     for n in range(9):
         for m in range(9):
-            sandwich = float(np.sum(weights * s[:, n] * s[:, m]))
             got = extract_element(n, m, r, photon_number_kernel(r))
-            worst = max(worst, abs(got - sandwich))
+            worst = max(worst, abs(got - sandwich[n, m]))
     assert worst < 1e-8
 
 
