@@ -221,7 +221,9 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
     if not (r_lo < r_hi and step > 0):
         raise ValueError("need r_lo < r_hi and a positive step")
     target = m + 1
-    rs = [r_lo + i * step for i in range(int(math.floor((r_hi - r_lo) / step)) + 1)]
+    # the 1e-9 keeps r_hi on the grid when (r_hi - r_lo) / step lands just below
+    # an integer, as (0.7 - 0.1) / 0.1 = 5.999999999999999 does
+    rs = [r_lo + i * step for i in range(math.floor((r_hi - r_lo) / step + 1e-9) + 1)]
     counts = []
     for r in rs:
         table = q_slice_table(SqueezedNumberState(m, r))

@@ -120,14 +120,12 @@ def cmd_quad(args) -> int:
 
 def cmd_qfunc(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
-    if args.re_min is None:
-        lim = math.exp(-state.r) * math.sqrt(2 * state.m + 1) + 3.0
-        args.re_min, args.re_max = -lim, lim
-    if args.im_min is None:
-        lim = math.exp(state.r) * math.sqrt(2 * state.m + 1) + 3.0
-        args.im_min, args.im_max = -lim, lim
-    grid = GridSpec(args.re_min, args.re_max, args.im_min, args.im_max,
-                    args.n_re, args.n_im)
+    lim_re = math.exp(-state.r) * math.sqrt(2 * state.m + 1) + 3.0
+    lim_im = math.exp(state.r) * math.sqrt(2 * state.m + 1) + 3.0
+    bounds = [default if given is None else given for given, default in
+              ((args.re_min, -lim_re), (args.re_max, lim_re),
+               (args.im_min, -lim_im), (args.im_max, lim_im))]
+    grid = GridSpec(*bounds, args.n_re, args.n_im)
     values = q_grid(state, grid)
     re, im = grid.axes()
     config = RunConfig("qfunc", {"m": args.m, "r": args.r, **asdict(grid),

@@ -7,8 +7,9 @@ point: agreement between all three routes is the library's main
 correctness argument.
 
 A column whose squeezed image (reach ~ e^{2r}) meets the truncation edge
-raises instead of returning silently wrong numbers.  The dense S and its
-trusted block serve only the operator identities, which need every entry.
+raises instead of returning silently wrong numbers.  One generator per
+parity block feeds the columns, the ladder residual and the dense S, which
+serves only the whole-operator checks.
 """
 
 from __future__ import annotations
@@ -18,31 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FockMatrix",
-    "TrustRegionError",
-    "annihilation",
-    "default_dim",
-    "trusted_dim",
-    "build_squeeze",
-    "oracle_amplitude",
-    "bogoliubov_residual",
-]
+__all__ = ["FockMatrix", "TrustRegionError", "default_dim", "trusted_dim",
+           "build_squeeze", "oracle_amplitude", "bogoliubov_residual"]
 
 
 class TrustRegionError(ValueError):
     """Requested entries lie outside the truncation-safe block."""
 
 
-EDGE_TOL = 1e-10  # largest |entry| a column may keep in the top eighth of its block
-
-
-def annihilation(dim: int) -> np.ndarray:
-    """Ladder-down operator: a[n-1, n] = sqrt(n)."""
-    a = np.zeros((dim, dim))
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
+EDGE_TOL = 1e-10  # largest |entry| a column may keep in the top eighth of the basis
 
 
 def default_dim(m: int, r: float) -> int:
@@ -56,14 +41,12 @@ def default_dim(m: int, r: float) -> int:
 
 
 def trusted_dim(dim: int, r: float) -> int:
-    """Largest index (exclusive) whose dense-matrix entries survive truncation.
+    """Largest index (exclusive) of the dense matrix's truncation-safe block,
+    and the default column block of :func:`bogoliubov_residual`.
 
     Columns k with k e^{2|r|} well beyond dim are pure truncation artifact,
-    and the products entering the ladder-mixing residual drag their garbage
-    down to rows of order k e^{-2|r|}, so the safe block scales as
-    dim e^{-2|r|}.  Halving that sits inside the measured onset of 1e-8
-    contamination for both raw entries and the residual check; at small r
-    the flat 80% cap applies instead.
+    so the safe block scales as dim e^{-2|r|}; halving that sits inside the
+    measured onset of 1e-8 contamination (the flat 80% cap rules at small r).
     """
     return min(math.floor(0.8 * dim), math.floor(dim * math.exp(-2.0 * abs(r)) / 2.0))
 
@@ -77,14 +60,40 @@ class FockMatrix:
     trusted: int  # rows/columns below this index are truncation-safe
 
 
+def _generator(r: float, dim: int, p: int):
+    """Squeeze generator (r/2)(a^2 - a^dag^2) on the parity-p block
+    {|p>, |p+2>, ...} of the dim basis: sparse antisymmetric tridiagonal,
+    +-(r/2) sqrt(k (k - 1)) between k - 2 and k.  The sign is fixed by the
+    convention b = S a S^dag = cosh(r) a + sinh(r) a^dag used by every closed
+    form in the package (for r > 0 it compresses the position quadrature).
+    """
+    from scipy.sparse import diags
+    k = np.arange(p, dim, 2, dtype=float)
+    off = 0.5 * r * np.sqrt(k[1:] * (k[1:] - 1.0))
+    return diags([off, -off], [1, -1], shape=(k.size, k.size), format="csr")
+
+
+def _columns(r: float, dim: int, ms: np.ndarray) -> np.ndarray:
+    """Full-height columns S|m>, m in ``ms``: scipy's ``expm_multiply``
+    (Al-Mohy and Higham, 2011) applies each parity block's exponential to
+    unit vectors without forming S; rows of the other parity stay 0.0."""
+    from scipy.sparse.linalg import expm_multiply
+    s = np.zeros((dim, ms.size))
+    for p in np.unique(ms % 2):
+        j = np.flatnonzero(ms % 2 == p)
+        gen = _generator(r, dim, p)
+        unit = np.zeros((gen.shape[0], j.size))
+        unit[ms[j] // 2, np.arange(j.size)] = 1.0
+        s[p::2, j] = expm_multiply(gen, unit)
+    return s
+
+
 def build_squeeze(r: float, dim: int) -> FockMatrix:
     """Squeeze unitary on the truncated basis, S = expm((r/2)(a^2 - a^dag^2)).
 
-    The generator sign is fixed by the convention b = S a S^dag
-    = cosh(r) a + sinh(r) a^dag used by every closed form in the package
-    (for r > 0 it compresses the position quadrature).  The generator is
-    real antisymmetric, so the scipy scaling-and-squaring exponential
-    returns an exactly orthogonal matrix up to roundoff.
+    Each parity block is the scipy scaling-and-squaring exponential of
+    :func:`_generator`; the generator is real antisymmetric, so S is
+    orthogonal up to roundoff.
     """
     from scipy.linalg import expm
     if dim < 2:
@@ -94,25 +103,20 @@ def build_squeeze(r: float, dim: int) -> FockMatrix:
         raise TrustRegionError(
             f"dim={dim} leaves no trusted block at r={r}; "
             f"need dim >= {math.ceil(5.0 * math.exp(2.0 * abs(r)))}")
-    a = annihilation(dim)
-    gen = 0.5 * r * (a @ a - a.T @ a.T)
-    return FockMatrix(dim=dim, entries=expm(gen), trusted=trusted)
+    entries = np.zeros((dim, dim))
+    for p in (0, 1):
+        entries[p::2, p::2] = expm(_generator(r, dim, p).toarray())
+    return FockMatrix(dim=dim, entries=entries, trusted=trusted)
 
 
 def oracle_amplitude(n, m, r: float, dim: int | None = None):
     """<n | m, r> from the column S|m>, vectorized over broadcastable
     integer n and m; mixed parity gives an exact 0.0.
 
-    On the parity block p = m % 2 the generator (r/2)(a^2 - a^dag^2) is
-    antisymmetric tridiagonal, +-(r/2) sqrt(k (k - 1)) between k - 2 and k,
-    and scipy's ``expm_multiply`` (Al-Mohy and Higham, 2011) applies its
-    exponential to unit columns without forming S.  dim defaults to
-    :func:`default_dim` of the largest m.  Raises :class:`TrustRegionError`
-    for a row n >= dim // 2, or when a column carries more than
-    ``EDGE_TOL`` in the top eighth of its block.
+    dim defaults to :func:`default_dim` of the largest m.  Raises
+    :class:`TrustRegionError` for a row n >= dim // 2, or when a column
+    carries more than ``EDGE_TOL`` in the top eighth of the basis.
     """
-    from scipy.sparse import diags
-    from scipy.sparse.linalg import expm_multiply
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     if np.any(n < 0) or np.any(m < 0):
         raise ValueError("indices must be nonnegative")
@@ -121,43 +125,37 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
     if np.any(n >= dim // 2) or np.any(m >= dim):
         raise TrustRegionError(
             f"rows must lie below dim // 2 = {dim // 2} and columns below {dim}")
-    out = np.zeros(n.shape)
-    for p in np.unique(m % 2):
-        cols = np.unique(m[m % 2 == p])
-        k = np.arange(p, dim, 2, dtype=float)
-        off = 0.5 * r * np.sqrt(k[1:] * (k[1:] - 1.0))
-        gen = diags([off, -off], [1, -1], shape=(k.size, k.size), format="csr")
-        unit = np.zeros((k.size, cols.size))
-        unit[cols // 2, np.arange(cols.size)] = 1.0
-        s = expm_multiply(gen, unit)
-        edge = np.abs(s[k.size - k.size // 8:]).max(axis=0, initial=0.0)
-        if np.any(edge > EDGE_TOL):
-            raise TrustRegionError(
-                f"columns m = {cols[edge > EDGE_TOL].tolist()} reach the edge of "
-                f"the dim={dim} basis at r={r}: {edge.max():.2g} in its top eighth")
-        same = (m % 2 == p) & (n % 2 == p)
-        out[same] = s[n[same] // 2, np.searchsorted(cols, m[same])]
+    cols = np.unique(m)
+    s = _columns(r, dim, cols)
+    edge = np.abs(s[dim - dim // 8:]).max(axis=0, initial=0.0)
+    if np.any(edge > EDGE_TOL):
+        raise TrustRegionError(
+            f"columns m = {cols[edge > EDGE_TOL].tolist()} reach the edge of "
+            f"the dim={dim} basis at r={r}: {edge.max():.2g} in its top eighth")
+    out = s[n, np.searchsorted(cols, m)]
     return out if out.ndim else float(out)
 
 
 def bogoliubov_residual(r: float, dim: int, block: int | None = None) -> float:
-    """Operator-norm residual of S a S^dag - (cosh r a + sinh r a^dag).
+    """Largest entry of S a - b S, b = cosh(r) a + sinh(r) a^dag, over the
+    first ``block`` columns (default: :func:`trusted_dim`) and the rows
+    n < dim // 2 the column oracle returns.
 
-    The difference is restricted to the leading block x block corner
-    (default: the trusted block of the basis) before taking the largest
-    singular value.  Decays with growing dim at fixed block, which is the
-    convergence argument for the truncated dense operator.
+    The ladders act on the full-height columns S|m> as row shifts,
+    (a s)[n] = sqrt(n + 1) s[n + 1] and (a^dag s)[n] = sqrt(n) s[n - 1].
+    Decays with growing dim at fixed block, which is the convergence
+    argument for the truncated generator.
     """
-    from scipy.linalg import svdvals
     if dim < 8:
         raise ValueError("dim must be at least 8")
-    s = build_squeeze(r, dim)
     if block is None:
-        block = s.trusted
+        block = trusted_dim(dim, r)
     if block < 1 or block > dim:
         raise ValueError("block must lie in 1..dim")
-    a = annihilation(dim)
-    target = math.cosh(r) * a + math.sinh(r) * a.T
-    resid = s.entries @ a @ s.entries.T - target
-    sub = resid[:block, :block]
-    return float(svdvals(sub)[0])
+    # a zero row and column in front stand for s[n - 1] at n = 0 and S|m - 1> at m = 0
+    s = np.pad(_columns(r, dim, np.arange(block)), ((1, 0), (1, 0)))
+    n = np.arange(dim // 2)
+    s_a = np.sqrt(np.arange(block)) * s[n + 1, :-1]
+    b_s = (math.cosh(r) * np.sqrt(n + 1)[:, None] * s[n + 2, 1:]
+           + math.sinh(r) * np.sqrt(n)[:, None] * s[n, 1:])
+    return float(np.abs(s_a - b_s).max())

@@ -132,6 +132,13 @@ def test_transition_scan_m7():
     assert counts[0] < 8 and counts[-1] == 8
 
 
+def test_transition_scan_reaches_r_hi():
+    # (0.7 - 0.1) / 0.1 is 5.999999999999999 in floating point
+    res = transition_scan(3, 0.1, 0.7, 0.1)
+    assert len(res.trace) == 7
+    assert res.trace[-1][0] == pytest.approx(0.7, abs=1e-12)
+
+
 def test_transition_scan_below_range_errors():
     with pytest.raises(ScanError) as err:
         transition_scan(2, 1.0, 1.2, 0.05)

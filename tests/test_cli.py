@@ -125,6 +125,25 @@ def test_qfunc_im_slow_axis_row_order(capsys):
     assert ims == [-2.0, -2.0, -2.0, 2.0]      # im advances once per row sweep
 
 
+@pytest.mark.parametrize("flag,value", [("--re-min", -1.0), ("--re-max", 1.0)])
+def test_qfunc_one_sided_extent_keeps_other_default(capsys, flag, value):
+    code, out, _ = run(capsys, "qfunc", "--m", "2", "--r", "0.5", flag, str(value),
+                       "--n-re", "3", "--n-im", "2")
+    assert code == 0
+    cfg = json.loads(out.splitlines()[1][len("# config "):])
+    lim = math.exp(-0.5) * math.sqrt(5) + 3.0
+    given, other = ("re_min", "re_max") if flag == "--re-min" else ("re_max", "re_min")
+    assert cfg[given] == value
+    assert cfg[other] == pytest.approx(math.copysign(lim, -value), rel=1e-15)
+
+
+def test_qfunc_one_sided_inverted_extent_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qfunc", "--m", "2", "--r", "0.5", "--im-max", "-9"])
+    assert exc.value.code == 2
+    assert "min < max" in capsys.readouterr().err
+
+
 def test_semiclassical_flags_forbidden_rows(capsys):
     code, out, _ = run(capsys, "semiclassical", "--m", "7", "--r", "1.4",
                        "--points", "50")

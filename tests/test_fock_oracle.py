@@ -7,16 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from squeezelab.fock_oracle import (TrustRegionError, annihilation,
-                                    bogoliubov_residual, build_squeeze,
-                                    default_dim, oracle_amplitude, trusted_dim)
+from squeezelab.fock_oracle import (TrustRegionError, bogoliubov_residual,
+                                    build_squeeze, default_dim, oracle_amplitude,
+                                    trusted_dim)
 from squeezelab.squeezed_number import SqueezedNumberState, fock_amplitude
-
-
-def test_ladder_matrix_entries():
-    a = annihilation(5)
-    assert a[0, 1] == 1.0 and a[1, 2] == pytest.approx(math.sqrt(2))
-    assert np.count_nonzero(a) == 4
 
 
 def test_build_squeeze_identity_at_r_zero():
@@ -48,6 +42,17 @@ def test_unitarity_on_trusted_block():
     gram = s.entries.T @ s.entries
     block = gram[: s.trusted, : s.trusted]
     assert np.abs(block - np.eye(s.trusted)).max() < 1e-10
+
+
+@pytest.mark.parametrize("r,dim", [(0.8, 200), (1.4, 600)])
+def test_dense_squeeze_matches_oracle_columns(r, dim):
+    # expm and expm_multiply share the per-parity generator, so a slip in
+    # how either interleaves the parity blocks shows up here; the columns
+    # come from their default (larger) basis, since at dim itself the edge
+    # rule refuses the upper trusted columns
+    s = build_squeeze(r, dim)
+    cols = oracle_amplitude(np.arange(dim // 2)[:, None], np.arange(s.trusted), r)
+    assert np.abs(s.entries[:dim // 2, :s.trusted] - cols).max() < 1e-13
 
 
 def test_oracle_amplitude_trivials():
@@ -117,8 +122,8 @@ def test_bogoliubov_residual_decays_with_dim():
     block = 40
     r1 = bogoliubov_residual(0.8, 200, block=block)
     r2 = bogoliubov_residual(0.8, 400, block=block)
-    assert r1 > 1e-2      # block 40 is not converged at dim 200
-    assert r2 < 1e-8      # but is at dim 400
+    assert r1 > 1e-10     # columns near 40 still feel the dim-200 edge (5e-10)
+    assert r2 < 1e-8      # but not the dim-400 one (6e-15)
     assert r2 < r1
 
 
