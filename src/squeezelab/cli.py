@@ -101,8 +101,9 @@ def cmd_photon(args) -> int:
 def cmd_quad(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
     scale = math.exp(state.r) if args.kind == "momentum" else math.exp(-state.r)
-    lo = args.min if args.min is not None else -scale * (math.sqrt(2 * state.m + 1) + 4.0)
-    hi = args.max if args.max is not None else -lo
+    lim = scale * (math.sqrt(2 * state.m + 1) + 4.0)
+    lo = -lim if args.min is None else args.min
+    hi = lim if args.max is None else args.max
     if not lo < hi:
         raise ValueError("--min must be below --max")
     coords = np.linspace(lo, hi, args.points)

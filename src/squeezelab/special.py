@@ -6,6 +6,10 @@ intermediate magnitudes routinely leave double range (171! already
 overflows a float).  Everything here therefore keeps magnitudes apart
 from values: log-factorials, and one vectorized Hermite kernel whose
 three-term recurrence carries a power-of-two scale beside its mantissa.
+The kernel rescales only when a bound on the pair's growth and shrinkage
+says it could leave a fixed headroom of 2^480, and once at the end, so its
+output is bit for bit that of rescaling after every step at a fraction of
+the cost; an argument so large that a single step could overflow raises.
 """
 
 from __future__ import annotations
@@ -32,6 +36,18 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+_HEADROOM = 2.0 ** 480
+"""How far the larger member of the Hermite pair may drift between rescalings.
+
+About half the double exponent range.  Within 2^480 of 1 the larger
+member can neither overflow nor go subnormal, and one more step of
+growth up to 2^480 (a larger one raises) still stays below 2^960.  A
+value up to 2^542 below the larger member stays normal, which is where
+the deferred schedule could part from rescaling at every step.  At the
+paper's states the pair then needs rescaling only every few dozen steps.
+"""
+
+
 def hermite(n: int, x, t: float = 1.0):
     """t^{n/2} H_n(x / sqrt t) as (mantissa, log_scale), value = mantissa * exp(log_scale).
 
@@ -39,10 +55,23 @@ def hermite(n: int, x, t: float = 1.0):
     come back; a scalar x gives Python numbers); t = 1 gives the
     physicists' H_n(x).  Runs H_{k+1} = 2 x H_k - 2 k t H_{k-1}, which
     stays polynomial in t, so t = 0 gives (2x)^n and t < 0 needs no
-    complex square root.  After every step the mantissa pair is rescaled
-    by an exact power of two, so no intermediate value can overflow,
-    rounding is that of the plain recurrence, and exact zeros (odd n at
-    x = 0) stay exact.
+    complex square root.
+
+    The pair (H_k, H_{k+1}) is divided, per element, by the power of two
+    that puts its larger member in [0.5, 1), but only before a step that
+    a scalar bound says could carry that member more than ``_HEADROOM`` =
+    2^480 from where the last rescale left it, and once after the last
+    step.  Step k grows the larger member by at most a factor
+    max(1, 2 max|x| + 2k|t|) and shrinks it by at most
+    max(1, (2 max|x| + 1) / (2k|t|)), or max(1, 1 / (2 min|x|)) over
+    x != 0 at t = 0.  Power-of-two scaling is exact, so mantissa and log
+    scale are bit for bit those of rescaling after every step: rounding
+    is that of the plain recurrence, nothing overflows, and exact zeros
+    (odd n at x = 0) stay exact.  The two schedules can part only where a
+    real or imaginary part falls 2^542 below its pair's larger member,
+    which needs 0 < |x| below about 1e-120.  If one step alone could grow
+    the pair past the headroom (2 max|x| + 2(n - 1)|t| > 2^480, about
+    3e144), ``ValueError`` is raised instead.
     """
     if n < 0:
         raise ValueError("Hermite order must be nonnegative")
@@ -53,16 +82,42 @@ def hermite(n: int, x, t: float = 1.0):
     if x.ndim:
         a, exponent = np.ones_like(x), np.zeros(x.shape, dtype=int)
         maximum, frexp, ldexp = np.maximum, np.frexp, np.ldexp
+        mags = np.abs(x)
+        x_max = float(mags.max(initial=0.0))
+        x_min = float(mags.min(where=mags > 0.0, initial=math.inf))
     else:  # the same loop on Python numbers runs about ten times faster
         x, a, exponent = x.item(), 1.0, 0
         maximum, frexp, ldexp = max, math.frexp, math.ldexp
-    two_x = 2.0 * x
-    b = two_x if n else a
-    for k in range(1, n):
-        a, b = b, two_x * b - (2.0 * k * t) * a
+        x_max = abs(x)
+        x_min = x_max or math.inf
+    two_x_max, two_t = 2.0 * x_max, 2.0 * abs(t)
+    if n > 1 and two_x_max + (n - 1) * two_t > _HEADROOM:
+        raise ValueError(f"Hermite order {n} at max|x| = {x_max:.6g}, t = {t:.6g} "
+                         "could overflow between rescalings")
+
+    def rescale(a, b):
+        """The pair over the power of two that puts its larger member in [0.5, 1)."""
         e = frexp(maximum(abs(a), abs(b)))[1]
         scale = ldexp(1.0, -e)
-        a, b = a * scale, b * scale
+        return a * scale, b * scale, e
+
+    shrink = (two_x_max + 1.0) / two_t if t else 0.5 / x_min  # divided by k at t != 0
+    room = max(1.0, two_x_max)  # bound on the larger member since the last rescale
+    two_x, minus_two_t = 2.0 * x, -2.0 * t
+    b = 2.0 * x if n else a  # a fresh array: the steps below work in place
+    for k in range(1, n):
+        drift = max(1.0, two_x_max + k * two_t) * max(1.0, shrink / k if t else shrink)
+        # step 1 always starts from the exact pair (1, 2x)
+        if k > 1 and room * drift > _HEADROOM:
+            a, b, e = rescale(a, b)
+            exponent += e
+            room = 1.0
+        room *= drift
+        a *= k * minus_two_t  # rounds as -(2k * t): a + 2x b is 2x b - 2kt a, bit for bit
+        a += two_x * b
+        a, b = b, a
+    if n > 1:
+        a, b, e = rescale(a, b)
         exponent += e
     return b, exponent * math.log(2.0)
 

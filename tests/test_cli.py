@@ -82,6 +82,25 @@ def test_quad_amplitude_columns(capsys):
     assert header == "coord,prob,re,im"
 
 
+@pytest.mark.parametrize("flag,value", [("--min", 1.0), ("--max", -1.0)])
+def test_quad_one_sided_extent_keeps_other_default(capsys, flag, value):
+    code, out, _ = run(capsys, "quad", "--kind", "position", "--m", "2", "--r", "0.5",
+                       flag, str(value), "--points", "5")
+    assert code == 0
+    cfg = json.loads(out.splitlines()[1][len("# config "):])
+    lim = math.exp(-0.5) * (math.sqrt(5) + 4.0)
+    given, other, default = ("min", "max", lim) if flag == "--min" else ("max", "min", -lim)
+    assert cfg[given] == value
+    assert cfg[other] == pytest.approx(default, rel=1e-15)
+
+
+def test_quad_one_sided_inverted_extent_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["quad", "--kind", "position", "--m", "2", "--r", "0.5", "--min", "9"])
+    assert exc.value.code == 2
+    assert "--min must be below --max" in capsys.readouterr().err
+
+
 def test_quad_fock_limit_matches_hermite_density(capsys):
     # momentum density at r=0 is the plain Fock density
     code, out, _ = run(capsys, "quad", "--kind", "momentum", "--m", "3",

@@ -1,10 +1,13 @@
 """Tests for the log-factorial and the Hermite kernel."""
 
+import cmath
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squeezelab.special import hermite, hermite_reduction_check, log_factorial
 
@@ -96,6 +99,97 @@ def test_hermite_no_overflow_large_order():
     mant, log_scale = hermite(600, 0.5)
     assert math.isfinite(log_scale) and log_scale > 709.0
     assert 0.5 <= abs(mant) <= 1.0
+
+
+def hermite_rescaled_every_step(n, x, t=1.0):
+    """Reference kernel: the same recurrence, rescaled after every step."""
+    x = np.asarray(x)
+    x = x.astype(np.result_type(x, float), copy=False)
+    if x.ndim:
+        a, exponent = np.ones_like(x), np.zeros(x.shape, dtype=int)
+        maximum, frexp, ldexp = np.maximum, np.frexp, np.ldexp
+    else:
+        x, a, exponent = x.item(), 1.0, 0
+        maximum, frexp, ldexp = max, math.frexp, math.ldexp
+    two_x = 2.0 * x
+    b = two_x if n else a
+    for k in range(1, n):
+        a, b = b, two_x * b - (2.0 * k * t) * a
+        e = frexp(maximum(abs(a), abs(b)))[1]
+        scale = ldexp(1.0, -e)
+        a, b = a * scale, b * scale
+        exponent += e
+    return b, exponent * math.log(2.0)
+
+
+# exact zeros, and magnitudes from 1e-100 up: far below that a real or
+# imaginary part can meet the subnormal range on one schedule only
+hermite_real = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-40.0, max_value=40.0).filter(lambda v: abs(v) >= 1e-100))
+hermite_complex = st.builds(complex, hermite_real, hermite_real)
+hermite_arg = st.one_of(
+    hermite_real, hermite_complex,
+    st.lists(hermite_real, min_size=1, max_size=8).map(np.array),
+    st.lists(hermite_complex, min_size=1, max_size=8).map(np.array))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.sampled_from(list(range(41)) + [300, 2000]),
+       x=hermite_arg,
+       t=st.sampled_from([1.0, 0.0, -math.tanh(1.4) / 2, -1e-9, 0.3, -0.49]))
+def test_hermite_bit_identical_to_rescaling_every_step(n, x, t):
+    mant, log_scale = hermite(n, x, t)
+    ref_mant, ref_log_scale = hermite_rescaled_every_step(n, x, t)
+    assert np.array_equal(mant, ref_mant)
+    assert np.array_equal(log_scale, ref_log_scale)
+    assert type(mant) is type(ref_mant) and type(log_scale) is type(ref_log_scale)
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_hermite_large_order_complex_vs_mpmath(n):
+    # t^{n/2} H_n(x / sqrt t) at the Husimi kernel's t for r = 1.5, where
+    # the pair is rescaled only every few dozen steps
+    mp = pytest.importorskip("mpmath")
+    t = -math.tanh(1.5) / 2
+    xs = np.array([0.3 + 0.7j, -2.1 + 4.5j, 5.0 - 0.2j, 11.0 + 9.0j, -0.01j])
+    mants, log_scales = hermite(n, xs, t)
+    for x, mant, log_scale in zip(xs, mants, log_scales):
+        with mp.workdps(50):
+            root_t = mp.sqrt(mp.mpf(t))
+            ref = complex(mp.log(root_t ** n * mp.hermite(n, mp.mpc(x) / root_t)))
+        for got_mant, got_log_scale in ((mant, log_scale), hermite(n, complex(x), t)):
+            diff = cmath.log(got_mant) + got_log_scale - ref
+            phase = (diff.imag + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(complex(diff.real, phase)) <= 1e-12 * abs(ref)
+
+
+def test_hermite_raises_where_a_step_could_overflow():
+    # H_3(1e200) ~ 8e600: a float cannot hold one step of it
+    with pytest.raises(ValueError, match=r"order 3 at max\|x\| = 1e\+200, t = 1"):
+        hermite(3, 1e200)
+    with pytest.raises(ValueError, match="could overflow"):
+        hermite(5, np.array([0.5, -1e200, 2.0]))
+    with pytest.raises(ValueError, match="could overflow"):
+        hermite(2, 0.5, 1e300)
+    # one step cannot overflow at n = 1
+    assert hermite(1, 1e200) == (2e200, 0.0)
+
+
+def test_hermite_tiny_x_at_t_zero():
+    # (2x)^n at r = 0 near alpha = 0: each step shrinks the pair by 2x, so
+    # it is rescaled at every step, and step 1 starts from the exact
+    # (1, 2x) even where x^2 is subnormal
+    mant, log_scale = hermite(3, 5e-151, 0.0)
+    assert mant == pytest.approx(6.7e-151, rel=1e-2)
+    assert log_scale == pytest.approx(-690.37, abs=1e-2)
+    assert math.log(mant) + log_scale == pytest.approx(3 * math.log(1e-150), rel=1e-14)
+    xs = np.geomspace(1e-165, 1e-150, 60)
+    for n in (2, 3, 5):
+        for x in (xs, xs * (1 - 1j)):
+            got, ref = hermite(n, x, 0.0), hermite_rescaled_every_step(n, x, 0.0)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert hermite(n, 5e-151, 0.0) == hermite_rescaled_every_step(n, 5e-151, 0.0)
 
 
 def test_hermite_rejects_bad_args():
