@@ -68,94 +68,80 @@ def find_maxima(table: DistributionTable, floor: float = DEFAULT_FLOOR,
         raise ValueError("floor must be nonnegative")
     if len(table) < 3:
         raise ValueError("need at least 3 table rows to detect maxima")
-    parity = table.meta.parity
-    if parity is not None:
-        sel = np.flatnonzero(np.asarray(table.coords).astype(int) % 2 == parity)
-        xs = table.coords[sel]
-        vals = np.concatenate([[0.0], table.probs[sel]])
-        offset = 1
-    else:
-        xs = table.coords
-        vals = table.probs
-        offset = 0
-    thr = floor * table.probs.max()
-    positions, values = [], []
-    n = len(vals)
-    i = 1  # vals[0] is a real left endpoint or the virtual zero; never a maximum
-    while i < n - 1:
-        j = i
-        while j + 1 < n and vals[j + 1] == vals[i]:
-            j += 1
-        if j == n - 1:
-            break  # plateau runs into the right edge
-        if vals[i - 1] < vals[i] and vals[i] > vals[j + 1] and vals[i] > thr:
-            k = i - offset
-            x = xs[k]
-            v = vals[i]
-            if refine and j == i and 0 < k < len(xs) - 1:
-                a, b, c = vals[i - 1], vals[i], vals[j + 1]
-                denom = a - 2.0 * b + c
-                if denom != 0.0:
-                    shift = (a - c) / (2.0 * denom)
-                    step = xs[k + 1] - xs[k]
-                    x = x + shift * step
-                    v = b - 0.25 * (a - c) * shift
-            positions.append(x)
-            values.append(v)
-        i = j + 1
-    return MaximaReport(np.asarray(positions), np.asarray(values), len(positions))
+    xs, vals = table.coords, table.probs
+    if table.meta.parity is not None:
+        sel = np.asarray(xs).astype(int) % 2 == table.meta.parity
+        xs, vals = xs[sel], np.concatenate([[0.0], vals[sel]])
+    # each run of equal values stands at its left edge; the first and last
+    # runs touch the ends (or the virtual zero), so only interior runs count
+    starts = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
+    run = vals[starts]
+    peak = ((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])
+            & (run[1:-1] > floor * table.probs.max()))
+    i = starts[1:-1][peak]
+    if not i.size:
+        return MaximaReport(np.asarray([]), np.asarray([]), 0)
+    k = i - (len(vals) - len(xs))  # table row of vals[i]
+    positions, values = xs[k], vals[i]
+    if refine:
+        a, b, c = vals[i - 1], values, vals[i + 1]
+        denom = a - 2.0 * b + c
+        # single points only, and not the first row beside the virtual zero
+        fit = (starts[2:][peak] == i + 1) & (k > 0) & (denom != 0.0)
+        if fit.any():
+            shift = (a - c)[fit] / (2.0 * denom[fit])
+            positions = positions.astype(np.result_type(positions, float))
+            positions[fit] = xs[k[fit]] + shift * (xs[k[fit] + 1] - xs[k[fit]])
+            values = values.copy()
+            values[fit] = b[fit] - 0.25 * (a - c)[fit] * shift
+    return MaximaReport(positions, values, len(i))
 
 
-def maxima_count_law(m: int, r: float | None = None) -> int:
+def maxima_count_law(m: int) -> int:
     """Stabilized number of photon-distribution maxima: m/2 + 1 for even m,
     (m+1)/2 for odd m.  Holds once r is large enough that all oscillation
-    maxima have emerged; the caller owns that precondition (r is accepted
-    only to document it).
+    maxima have emerged; the caller owns that precondition.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return m // 2 + 1 if m % 2 == 0 else (m + 1) // 2
+    return m // 2 + 1
 
 
-def _uniform_grid(half_width: float, step: float) -> np.ndarray:
+def _sampled_table(state: SqueezedNumberState, representation: str, density,
+                   scale: float, half_width: float, step: float | None) -> DistributionTable:
+    """``density`` on the symmetric uniform grid over [-half_width, half_width]
+    (step 0.01 ``scale`` by default)."""
+    step = step or 0.01 * scale
     n = int(math.ceil(half_width / step))
-    return step * np.arange(-n, n + 1)
+    grid = step * np.arange(-n, n + 1)
+    meta = TableMeta(state=(state.m, state.r), representation=representation,
+                     truncation={"step": step, "half_width": half_width})
+    return DistributionTable(grid, density(grid), meta)
 
 
 def position_density_table(state: SqueezedNumberState, half_width: float | None = None,
                            step: float | None = None) -> DistributionTable:
     """|<q|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^{-r})."""
     scale = math.exp(-state.r)
-    half_width = half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0)
-    step = step or 0.01 * scale
-    q = _uniform_grid(half_width, step)
-    meta = TableMeta(state=(state.m, state.r), representation="position",
-                     truncation={"step": step, "half_width": half_width})
-    return DistributionTable(q, position_wf(q, state) ** 2, meta)
+    return _sampled_table(state, "position", lambda q: position_wf(q, state) ** 2, scale,
+                          half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0), step)
 
 
 def momentum_density_table(state: SqueezedNumberState, half_width: float | None = None,
                            step: float | None = None) -> DistributionTable:
     """|<p|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^r)."""
     scale = math.exp(state.r)
-    half_width = half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0)
-    step = step or 0.01 * scale
-    p = _uniform_grid(half_width, step)
-    meta = TableMeta(state=(state.m, state.r), representation="momentum",
-                     truncation={"step": step, "half_width": half_width})
-    return DistributionTable(p, np.abs(momentum_wf(p, state)) ** 2, meta)
+    return _sampled_table(state, "momentum", lambda p: np.abs(momentum_wf(p, state)) ** 2,
+                          scale, half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0),
+                          step)
 
 
 def q_slice_table(state: SqueezedNumberState, half_width: float | None = None,
                   step: float | None = None) -> DistributionTable:
     """Husimi Q along the imaginary axis on a symmetric uniform grid."""
     scale = math.exp(state.r)
-    half_width = half_width or scale * math.sqrt(state.m + 0.5) + 2.0
-    step = step or 0.01 * scale
-    y = _uniform_grid(half_width, step)
-    meta = TableMeta(state=(state.m, state.r), representation="qslice",
-                     truncation={"step": step, "half_width": half_width})
-    return DistributionTable(y, q_slice_imag(y, state), meta)
+    return _sampled_table(state, "qslice", lambda y: q_slice_imag(y, state), scale,
+                          half_width or scale * math.sqrt(state.m + 0.5) + 2.0, step)
 
 
 def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray:
@@ -163,7 +149,7 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
 
     The density vanishes exactly where H_m(e^{-r} p) does; the recurrence
     reports exact signs, so each root is bracketed on a scan grid and then
-    bisected to ``tol`` in the Hermite argument.
+    all brackets are bisected together to ``tol`` in the Hermite argument.
     """
     m, r = state.m, state.r
     if m == 0:
@@ -171,29 +157,19 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
     lim = math.sqrt(2.0 * m + 1.0) + 1.0
     grid = np.linspace(-lim, lim, 40 * m + 41)
     signs = np.sign(hermite(m, grid)[0])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        sa, sb = signs[i], signs[i + 1]
-        if sa == 0:
-            roots.append(a)
-            continue
-        if sb == 0 or sa * sb > 0:
-            continue
-        while b - a > tol:
-            c = 0.5 * (a + b)
-            sc = np.sign(hermite(m, c)[0])
-            if sc == 0:
-                a = b = c
-                break
-            if sc == sa:
-                a = c
-            else:
-                b = c
-        roots.append(0.5 * (a + b))
-    if signs[-1] == 0:
-        roots.append(grid[-1])
-    return math.exp(r) * np.asarray(roots)
+    bracket = signs[:-1] * signs[1:] < 0
+    a, b, sa = grid[:-1][bracket], grid[1:][bracket], signs[:-1][bracket]
+    live = b - a > tol
+    while live.any():
+        c = 0.5 * (a + b)
+        sc = np.sign(hermite(m, c)[0])
+        # a zero at the midpoint closes the bracket on it
+        a = np.where(live & (sc != -sa), c, a)
+        b = np.where(live & (sc != sa), c, b)
+        live = b - a > tol
+    roots = grid.copy()  # a grid point where the sign is 0 is a root itself
+    roots[:-1][bracket] = 0.5 * (a + b)
+    return math.exp(r) * roots[(signs == 0) | np.append(bracket, False)]
 
 
 @dataclass(frozen=True)

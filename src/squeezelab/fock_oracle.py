@@ -76,15 +76,23 @@ def _generator(r: float, dim: int, p: int):
 def _columns(r: float, dim: int, ms: np.ndarray) -> np.ndarray:
     """Full-height columns S|m>, m in ``ms``: scipy's ``expm_multiply``
     (Al-Mohy and Higham, 2011) applies each parity block's exponential to
-    unit vectors without forming S; rows of the other parity stay 0.0."""
+    unit vectors without forming S; rows of the other parity stay 0.0.
+    Its Taylor degree comes from a randomized norm estimate that draws from
+    numpy's global generator, so each block runs under a fixed seed, and
+    the caller's generator state is restored: columns repeat bit for bit."""
     from scipy.sparse.linalg import expm_multiply
     s = np.zeros((dim, ms.size))
-    for p in np.unique(ms % 2):
-        j = np.flatnonzero(ms % 2 == p)
-        gen = _generator(r, dim, p)
-        unit = np.zeros((gen.shape[0], j.size))
-        unit[ms[j] // 2, np.arange(j.size)] = 1.0
-        s[p::2, j] = expm_multiply(gen, unit)
+    caller = np.random.get_state()
+    try:
+        for p in np.unique(ms % 2):
+            j = np.flatnonzero(ms % 2 == p)
+            gen = _generator(r, dim, p)
+            unit = np.zeros((gen.shape[0], j.size))
+            unit[ms[j] // 2, np.arange(j.size)] = 1.0
+            np.random.seed(0)
+            s[p::2, j] = expm_multiply(gen, unit)
+    finally:
+        np.random.set_state(caller)
     return s
 
 

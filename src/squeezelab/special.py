@@ -36,6 +36,8 @@ def log_factorial(n: int) -> float:
     return math.lgamma(n + 1)
 
 
+_TINY = 2.0 ** -1022  # the smallest normal double
+
 _HEADROOM = 2.0 ** 480
 """How far the larger member of the Hermite pair may drift between rescalings.
 
@@ -69,9 +71,13 @@ def hermite(n: int, x, t: float = 1.0):
     is that of the plain recurrence, nothing overflows, and exact zeros
     (odd n at x = 0) stay exact.  The two schedules can part only where a
     real or imaginary part falls 2^542 below its pair's larger member,
-    which needs 0 < |x| below about 1e-120.  If one step alone could grow
-    the pair past the headroom (2 max|x| + 2(n - 1)|t| > 2^480, about
-    3e144), ``ValueError`` is raised instead.
+    which needs 0 < |x| below about 1e-120.  Subnormal input stays finite
+    and exact in log form: a pair whose larger member is subnormal is
+    multiplied by 2^1021 (its 2^-e is no float), and at t = 0 an x with
+    every entry subnormal runs multiplied by 2^1023, a power the log scale
+    takes back.  If one step alone could grow the pair past the headroom
+    (2 max|x| + 2(n - 1)|t| > 2^480, about 3e144), ``ValueError`` is
+    raised instead.
     """
     if n < 0:
         raise ValueError("Hermite order must be nonnegative")
@@ -90,14 +96,19 @@ def hermite(n: int, x, t: float = 1.0):
         maximum, frexp, ldexp = max, math.frexp, math.ldexp
         x_max = abs(x)
         x_min = x_max or math.inf
+    # (2x)^n at t = 0 with every x subnormal would underflow at step 1
+    lift = 1023 if t == 0.0 and 0.0 < x_max < _TINY else 0
+    if lift:
+        x, x_max, x_min = x * 2.0 ** lift, x_max * 2.0 ** lift, x_min * 2.0 ** lift
     two_x_max, two_t = 2.0 * x_max, 2.0 * abs(t)
     if n > 1 and two_x_max + (n - 1) * two_t > _HEADROOM:
         raise ValueError(f"Hermite order {n} at max|x| = {x_max:.6g}, t = {t:.6g} "
                          "could overflow between rescalings")
 
     def rescale(a, b):
-        """The pair over the power of two that puts its larger member in [0.5, 1)."""
-        e = frexp(maximum(abs(a), abs(b)))[1]
+        """The pair over the power of two that puts its larger member in
+        [0.5, 1), or times 2^1021 where that member is subnormal (e < -1021)."""
+        e = maximum(frexp(maximum(abs(a), abs(b)))[1], -1021)
         scale = ldexp(1.0, -e)
         return a * scale, b * scale, e
 
@@ -119,7 +130,7 @@ def hermite(n: int, x, t: float = 1.0):
     if n > 1:
         a, b, e = rescale(a, b)
         exponent += e
-    return b, exponent * math.log(2.0)
+    return b, (exponent - n * lift) * math.log(2.0)
 
 
 def hermite_reduction_check(m: int, x: float) -> float:

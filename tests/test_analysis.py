@@ -1,10 +1,13 @@
 """Tests for maxima detection, counting laws, the transition scan and the
 cross-representation correspondences."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 from squeezelab.analysis import (ScanError, find_maxima, maxima_count_law,
@@ -12,6 +15,7 @@ from squeezelab.analysis import (ScanError, find_maxima, maxima_count_law,
                                  position_density_table, q_slice_table,
                                  qmax_to_nmax, slice_proportionality,
                                  support_widening, transition_scan)
+from squeezelab.special import hermite
 from squeezelab.squeezed_number import SqueezedNumberState, photon_distribution
 from squeezelab.tables import DistributionTable, TableMeta
 
@@ -84,6 +88,77 @@ def test_photon_maxima_m7_r14():
     assert rep.count == 4
 
 
+def find_maxima_walker(table, floor=1e-6, refine=False):
+    """Reference: the element-by-element plateau walker that ``find_maxima``
+    replaced, kept to pin its output bit for bit."""
+    parity = table.meta.parity
+    if parity is not None:
+        sel = np.flatnonzero(np.asarray(table.coords).astype(int) % 2 == parity)
+        xs = table.coords[sel]
+        vals = np.concatenate([[0.0], table.probs[sel]])
+        offset = 1
+    else:
+        xs = table.coords
+        vals = table.probs
+        offset = 0
+    thr = floor * table.probs.max()
+    positions, values = [], []
+    n = len(vals)
+    i = 1
+    while i < n - 1:
+        j = i
+        while j + 1 < n and vals[j + 1] == vals[i]:
+            j += 1
+        if j == n - 1:
+            break
+        if vals[i - 1] < vals[i] and vals[i] > vals[j + 1] and vals[i] > thr:
+            k = i - offset
+            x = xs[k]
+            v = vals[i]
+            if refine and j == i and 0 < k < len(xs) - 1:
+                a, b, c = vals[i - 1], vals[i], vals[j + 1]
+                denom = a - 2.0 * b + c
+                if denom != 0.0:
+                    shift = (a - c) / (2.0 * denom)
+                    step = xs[k + 1] - xs[k]
+                    x = x + shift * step
+                    v = b - 0.25 * (a - c) * shift
+            positions.append(x)
+            values.append(v)
+        i = j + 1
+    return np.asarray(positions), np.asarray(values), len(positions)
+
+
+# a few repeated levels make plateaus; "parity" tables zero every other row
+table_values = st.lists(
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+              st.floats(min_value=0.0, max_value=10.0)),
+    min_size=3, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(vals=table_values, floor=st.sampled_from([0.0, 1e-6, 0.5]), refine=st.booleans(),
+       grid=st.sampled_from(["int", "float", "float32", "parity0", "parity1"]),
+       start=st.integers(0, 3))
+def test_find_maxima_bit_identical_to_walker(vals, floor, refine, grid, start):
+    probs = np.asarray(vals)
+    meta = {}
+    if grid.startswith("parity"):
+        meta["parity"] = int(grid[-1])
+        coords = start + np.arange(len(probs))
+        probs = np.where(coords % 2 == meta["parity"], probs, 0.0)
+    elif grid == "int":
+        coords = start + np.arange(len(probs))
+    else:
+        coords = (0.3 * start - 1.0 + 0.37 * np.arange(len(probs))).astype(grid)
+    tab = table(coords, probs, **meta)
+    rep = find_maxima(tab, floor=floor, refine=refine)
+    positions, values, count = find_maxima_walker(tab, floor=floor, refine=refine)
+    assert rep.count == count
+    for got, want in ((rep.positions, positions), (rep.values, values)):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
 # ------------------------------------------------------------- counting laws
 
 def test_maxima_count_law_values():
@@ -96,7 +171,7 @@ def test_maxima_count_law_values():
 def test_count_law_realized_above_transition(m):
     r = 0.5 * math.log(m) + 0.7
     rep = find_maxima(photon_distribution(SqueezedNumberState(m, r), 1e-10))
-    assert rep.count == maxima_count_law(m, r)
+    assert rep.count == maxima_count_law(m)
 
 
 # ----------------------------------------------------- continuous densities
@@ -115,6 +190,47 @@ def test_momentum_zeros_match_scaled_hermite_roots():
     got = np.sort(momentum_zeros(st))
     want = np.sort(roots_hermite(7)[0]) * math.exp(1.4)
     assert np.abs(got - want).max() < 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def momentum_zeros_scalar(m, tol):
+    """Reference: the root-by-root scalar bisection that ``momentum_zeros``
+    replaced, in the Hermite argument (``momentum_zeros`` scales by e^r)."""
+    lim = math.sqrt(2.0 * m + 1.0) + 1.0
+    grid = np.linspace(-lim, lim, 40 * m + 41)
+    signs = np.sign(hermite(m, grid)[0])
+    roots = []
+    for i in range(len(grid) - 1):
+        a, b = grid[i], grid[i + 1]
+        sa, sb = signs[i], signs[i + 1]
+        if sa == 0:
+            roots.append(a)
+            continue
+        if sb == 0 or sa * sb > 0:
+            continue
+        while b - a > tol:
+            c = 0.5 * (a + b)
+            sc = np.sign(hermite(m, c)[0])
+            if sc == 0:
+                a = b = c
+                break
+            if sc == sa:
+                a = c
+            else:
+                b = c
+        roots.append(0.5 * (a + b))
+    if signs[-1] == 0:
+        roots.append(grid[-1])
+    return np.asarray(roots)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+@pytest.mark.parametrize("r", [-1.0, 0.0, 0.5, 1.4, 3.0])
+def test_momentum_zeros_bit_identical_to_scalar_bisection(r, tol):
+    for m in range(1, 41):
+        got = momentum_zeros(SqueezedNumberState(m, r), tol)
+        want = math.exp(r) * momentum_zeros_scalar(m, tol)
+        assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 def test_position_density_table_peak_structure():

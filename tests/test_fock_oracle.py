@@ -67,6 +67,20 @@ def test_oracle_amplitude_trivials():
             assert grid[n, j] == oracle_amplitude(n, m, 0.9, dim=default_dim(3, 0.9))
 
 
+def test_oracle_amplitude_independent_of_global_rng():
+    # expm_multiply's norm estimate draws from numpy's legacy global generator
+    n = np.arange(default_dim(7, 1.4) // 2)
+    columns = []
+    for seed in (0, 25):
+        np.random.seed(seed)
+        before = np.random.get_state()
+        columns.append(oracle_amplitude(n, 7, 1.4))
+        after = np.random.get_state()
+        assert before[0] == after[0] and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert np.array_equal(columns[0], columns[1])
+
+
 def test_oracle_amplitude_matches_closed_form_spec_point():
     got = oracle_amplitude(11, 7, 1.4)
     want = fock_amplitude(11, SqueezedNumberState(7, 1.4))

@@ -192,6 +192,22 @@ def test_hermite_tiny_x_at_t_zero():
         assert hermite(n, 5e-151, 0.0) == hermite_rescaled_every_step(n, 5e-151, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, x, t", [(2, 1e-310, 0.0), (2, 0.0, 1e-310), (3, 1e-310, 0.0),
+                                     (3, 5e-324, 0.0), (5, 1e-310, 1e-310)])
+def test_hermite_subnormal_input(n, x, t):
+    # the pair's larger member is subnormal here, so its 2^-e is no float
+    coeffs = hermite_coeffs_exact(n)
+    exact = sum(c * Fraction(x) ** j * Fraction(t) ** ((n - j) // 2)
+                for j, c in enumerate(coeffs))
+    log_exact = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+    for got_mant, got_log_scale in (hermite(n, x, t), hermite(n, np.array([x]), t)):
+        got_mant, got_log_scale = float(np.squeeze(got_mant)), float(np.squeeze(got_log_scale))
+        assert (got_mant > 0) == (exact > 0)
+        log_got = math.log(abs(got_mant)) + got_log_scale
+        assert log_got == pytest.approx(log_exact, rel=1e-12)
+
+
 def test_hermite_rejects_bad_args():
     with pytest.raises(ValueError):
         hermite(-1, 0.0)
