@@ -149,8 +149,12 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
 
     The density vanishes exactly where H_m(e^{-r} p) does; the recurrence
     reports exact signs, so each root is bracketed on a scan grid and then
-    all brackets are bisected together to ``tol`` in the Hermite argument.
+    all brackets are bisected together to ``tol`` in the Hermite argument,
+    or until their ends are adjacent doubles.  Raises ``ValueError`` for a
+    negative or nan ``tol``.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     m, r = state.m, state.r
     if m == 0:
         return np.array([])
@@ -162,11 +166,12 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
     live = b - a > tol
     while live.any():
         c = 0.5 * (a + b)
+        live &= (c != a) & (c != b)  # ends are adjacent doubles: it cannot shrink
         sc = np.sign(hermite(m, c)[0])
         # a zero at the midpoint closes the bracket on it
         a = np.where(live & (sc != -sa), c, a)
         b = np.where(live & (sc != sa), c, b)
-        live = b - a > tol
+        live &= b - a > tol
     roots = grid.copy()  # a grid point where the sign is 0 is a root itself
     roots[:-1][bracket] = 0.5 * (a + b)
     return math.exp(r) * roots[(signs == 0) | np.append(bracket, False)]

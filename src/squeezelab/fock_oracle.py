@@ -1,15 +1,16 @@
 """Brute-force ground truth on a truncated number basis.
 
 Amplitudes are columns S|m> of the squeeze unitary: the action of the
-exponential of its quadratic generator on a unit vector.  Nothing here
-shares code with the closed forms or the series engine, which is the
-point: agreement between all three routes is the library's main
-correctness argument.
+exponential of its quadratic generator on a unit vector, by a Chebyshev
+expansion of the propagator.  Nothing here shares code with the closed
+forms or the series engine, which is the point: agreement between all
+three routes is the library's main correctness argument.
 
 A column whose squeezed image (reach ~ e^{2r}) meets the truncation edge
 raises instead of returning silently wrong numbers.  One generator per
-parity block feeds the columns, the ladder residual and the dense S, which
-serves only the whole-operator checks.
+parity block feeds the columns, the ladder residual and the dense S (by
+scipy's ``expm``, a second algorithm), which serves only the
+whole-operator checks.
 """
 
 from __future__ import annotations
@@ -60,39 +61,77 @@ class FockMatrix:
     trusted: int  # rows/columns below this index are truncation-safe
 
 
-def _generator(r: float, dim: int, p: int):
+def _generator(r: float, dim: int, p: int) -> np.ndarray:
     """Squeeze generator (r/2)(a^2 - a^dag^2) on the parity-p block
-    {|p>, |p+2>, ...} of the dim basis: sparse antisymmetric tridiagonal,
-    +-(r/2) sqrt(k (k - 1)) between k - 2 and k.  The sign is fixed by the
+    {|p>, |p+2>, ...} of the dim basis, as its superdiagonal g: the block is
+    antisymmetric tridiagonal, G[i, i+1] = g[i] = -G[i+1, i], with
+    g = (r/2) sqrt(k (k - 1)) between k - 2 and k.  The sign is fixed by the
     convention b = S a S^dag = cosh(r) a + sinh(r) a^dag used by every closed
     form in the package (for r > 0 it compresses the position quadrature).
     """
-    from scipy.sparse import diags
-    k = np.arange(p, dim, 2, dtype=float)
-    off = 0.5 * r * np.sqrt(k[1:] * (k[1:] - 1.0))
-    return diags([off, -off], [1, -1], shape=(k.size, k.size), format="csr")
+    k = np.arange(p + 2, dim, 2, dtype=float)
+    return 0.5 * r * np.sqrt(k * (k - 1.0))
+
+
+def _bessel_j(rho: float) -> np.ndarray:
+    """J_k(rho) for k = 0, 1, ..., K and rho > 0, where J_K is the last one
+    above 1e-17 in magnitude.
+
+    Miller's backward recurrence J_{k-1} = (2k/rho) J_k - J_{k+1}, started
+    from (0, 1) in the decaying tail (20 rho^(1/3) + 40 past rho, where
+    J_k < 1e-30), rescaled where it grows and normalized by
+    J_0 + 2 (J_2 + J_4 + ...) = 1.
+    """
+    top = int(rho + 20.0 * rho ** (1.0 / 3.0)) + 40
+    j = np.empty(top + 1)
+    above, here = 0.0, 1.0
+    for k in range(top, 0, -1):
+        j[k] = here
+        above, here = here, (2.0 * k / rho) * here - above
+        if abs(here) > 1e250:
+            j[k:] *= 1e-250
+            above *= 1e-250
+            here *= 1e-250
+    j[0] = here
+    j /= j[0] + 2.0 * j[2::2].sum()
+    return j[:np.flatnonzero(np.abs(j) > 1e-17)[-1] + 1]
 
 
 def _columns(r: float, dim: int, ms: np.ndarray) -> np.ndarray:
-    """Full-height columns S|m>, m in ``ms``: scipy's ``expm_multiply``
-    (Al-Mohy and Higham, 2011) applies each parity block's exponential to
-    unit vectors without forming S; rows of the other parity stay 0.0.
-    Its Taylor degree comes from a randomized norm estimate that draws from
-    numpy's global generator, so each block runs under a fixed seed, and
-    the caller's generator state is restored: columns repeat bit for bit."""
-    from scipy.sparse.linalg import expm_multiply
+    """Full-height columns S|m>, m in ``ms``; rows of the other parity are 0.0.
+
+    Each parity block applies exp(G) to unit vectors by the Chebyshev
+    expansion of the propagator (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
+    3967, 1984).  G is real antisymmetric, so its spectrum lies in
+    i[-rho, rho] for the Gershgorin bound rho = max_i(|g[i-1]| + |g[i]|), and
+    exp(G) v = J_0(rho) P_0 + 2 sum_k J_k(rho) P_k over the real recurrence
+    P_0 = v, P_1 = (G/rho) v, P_{k+1} = 2 (G/rho) P_k + P_{k-1}, cut where
+    the Bessel coefficients fall below 1e-17.  No random numbers are drawn,
+    so the columns repeat bit for bit.
+    """
     s = np.zeros((dim, ms.size))
-    caller = np.random.get_state()
-    try:
-        for p in np.unique(ms % 2):
-            j = np.flatnonzero(ms % 2 == p)
-            gen = _generator(r, dim, p)
-            unit = np.zeros((gen.shape[0], j.size))
-            unit[ms[j] // 2, np.arange(j.size)] = 1.0
-            np.random.seed(0)
-            s[p::2, j] = expm_multiply(gen, unit)
-    finally:
-        np.random.set_state(caller)
+    for p in np.unique(ms % 2):
+        j = np.flatnonzero(ms % 2 == p)
+        g = _generator(r, dim, p)
+        cur = np.zeros((g.size + 1, j.size))
+        cur[ms[j] // 2, np.arange(j.size)] = 1.0
+        if not g.any():  # r = 0, or a one-row block: S is the identity
+            s[p::2, j] = cur
+            continue
+        rho = float(np.convolve(np.abs(g), [1.0, 1.0]).max())  # row sums |g[i-1]| + |g[i]|
+        coef = _bessel_j(rho)
+        step = (g / rho)[:, None]
+        prev = np.zeros_like(cur)  # P_{-1} = -(G/rho) v, so that the loop starts at P_1
+        prev[:-1] -= step * cur[1:]
+        prev[1:] += step * cur[:-1]
+        out = coef[0] * cur
+        step *= 2.0
+        for c in coef[1:]:
+            prev[:-1] += step * cur[1:]  # P_{k-1} becomes P_{k+1} in place
+            prev[1:] -= step * cur[:-1]
+            prev, cur = cur, prev
+            out += (2.0 * c) * cur
+        s[p::2, j] = out
     return s
 
 
@@ -113,7 +152,8 @@ def build_squeeze(r: float, dim: int) -> FockMatrix:
             f"need dim >= {math.ceil(5.0 * math.exp(2.0 * abs(r)))}")
     entries = np.zeros((dim, dim))
     for p in (0, 1):
-        entries[p::2, p::2] = expm(_generator(r, dim, p).toarray())
+        g = _generator(r, dim, p)
+        entries[p::2, p::2] = expm(np.diag(g, 1) - np.diag(g, -1))
     return FockMatrix(dim=dim, entries=entries, trusted=trusted)
 
 

@@ -2,8 +2,8 @@
 
 Each suite runs the cross-route and invariant checks of one area at desk
 scale and reports machine-readable results.  Everything is deterministic:
-the random samples here and the oracle's randomized norm estimates use
-fixed seeds, so repeated runs produce identical bytes.
+the random samples here use a fixed seed and the oracle draws no random
+numbers, so repeated runs produce identical bytes.
 """
 
 from __future__ import annotations

@@ -233,6 +233,23 @@ def test_momentum_zeros_bit_identical_to_scalar_bisection(r, tol):
         assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
+def test_momentum_zeros_tol_below_float_spacing_returns():
+    # brackets close once their ends are adjacent doubles; tol is in the
+    # Hermite argument, which momentum_zeros scales by e^r
+    st = SqueezedNumberState(7, 1.4)
+    fine = momentum_zeros(st, tol=1e-17)
+    assert np.abs(fine - momentum_zeros(st)).max() * math.exp(-1.4) < 1e-12
+    assert np.array_equal(momentum_zeros(st, tol=0.0), fine)
+    want = np.sort(roots_hermite(7)[0])
+    assert np.abs(np.sort(fine) * math.exp(-1.4) - want).max() < 1e-14
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_momentum_zeros_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        momentum_zeros(SqueezedNumberState(7, 1.4), tol=tol)
+
+
 def test_position_density_table_peak_structure():
     rep = find_maxima(position_density_table(SqueezedNumberState(3, 0.9)))
     assert rep.count == 4  # oscillator eigenfunction structure survives squeezing

@@ -3,11 +3,16 @@ oracle behind every amplitude, and the dense matrix behind the operator
 identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from squeezelab.fock_oracle import (TrustRegionError, bogoliubov_residual,
+import squeezelab
+from squeezelab.fock_oracle import (TrustRegionError, _bessel_j, bogoliubov_residual,
                                     build_squeeze, default_dim, oracle_amplitude,
                                     trusted_dim)
 from squeezelab.squeezed_number import SqueezedNumberState, fock_amplitude
@@ -46,10 +51,11 @@ def test_unitarity_on_trusted_block():
 
 @pytest.mark.parametrize("r,dim", [(0.8, 200), (1.4, 600)])
 def test_dense_squeeze_matches_oracle_columns(r, dim):
-    # expm and expm_multiply share the per-parity generator, so a slip in
-    # how either interleaves the parity blocks shows up here; the columns
-    # come from their default (larger) basis, since at dim itself the edge
-    # rule refuses the upper trusted columns
+    # the Chebyshev columns and the dense expm are two algorithms on the
+    # same per-parity generator, so a slip in how either builds or
+    # interleaves the parity blocks shows up here; the columns come from
+    # their default (larger) basis, since at dim itself the edge rule
+    # refuses the upper trusted columns
     s = build_squeeze(r, dim)
     cols = oracle_amplitude(np.arange(dim // 2)[:, None], np.arange(s.trusted), r)
     assert np.abs(s.entries[:dim // 2, :s.trusted] - cols).max() < 1e-13
@@ -68,7 +74,8 @@ def test_oracle_amplitude_trivials():
 
 
 def test_oracle_amplitude_independent_of_global_rng():
-    # expm_multiply's norm estimate draws from numpy's legacy global generator
+    # guard: the columns must neither read nor move numpy's legacy global
+    # generator (the Chebyshev propagator draws no random numbers)
     n = np.arange(default_dim(7, 1.4) // 2)
     columns = []
     for seed in (0, 25):
@@ -79,6 +86,18 @@ def test_oracle_amplitude_independent_of_global_rng():
         assert before[0] == after[0] and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
     assert np.array_equal(columns[0], columns[1])
+
+
+def test_column_oracle_loads_no_scipy():
+    # the columns and the ladder residual are numpy only; scipy's expm
+    # serves build_squeeze alone
+    src = str(Path(squeezelab.__file__).resolve().parents[1])
+    code = ("import sys; from squeezelab import fock_oracle as fo; "
+            "fo.oracle_amplitude(3, 7, 1.4); fo.bogoliubov_residual(0.8, 200); "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_amplitude_matches_closed_form_spec_point():
@@ -106,7 +125,29 @@ def test_trusted_block_is_dim_stable_under_doubling():
         assert np.abs(s1 - s2).max() < 1e-13
 
 
-@pytest.mark.parametrize("m,r", [(60, 1.0), (100, 0.5)])
+@pytest.mark.parametrize("rho", [30.0, 2027.2, 5000.0])
+def test_bessel_coefficients_match_mpmath(rho):
+    # Miller's recurrence keeps about 1e-16; scipy.special.jv is off by
+    # 3.3e-14 at (k, rho) = (212, 2027.2) and 5.5e-14 at (681, 5000)
+    mpmath = pytest.importorskip("mpmath")
+    j = _bessel_j(rho)
+    size = j.size
+    assert abs(j[-1]) > 1e-17
+    # every k at small rho; at large rho (a slow mpmath call each) six
+    # spread over the range and the last two
+    ks = np.arange(size) if rho < 100 else np.unique(
+        np.r_[np.linspace(0, size - 1, 6).astype(int), size - 2])
+    with mpmath.workdps(20):
+        err = max(abs(float(mpmath.besselj(int(k), rho, maxprec=20000)) - j[k]) for k in ks)
+        tail = max(abs(float(mpmath.besselj(k, rho, maxprec=20000)))
+                   for k in (size, size + 1, size + 5))
+    assert err <= 1e-15
+    assert tail < 1e-17
+
+
+# r < 0 makes the generator's off-diagonal negative, so the propagator's
+# spectral bound must take its magnitude
+@pytest.mark.parametrize("m,r", [(60, 1.0), (100, 0.5), (7, -1.4), (40, -1.0)])
 def test_column_oracle_matches_eigenvector_at_large_m(m, r):
     n = np.arange(default_dim(m, r) // 2)
     got = oracle_amplitude(n, m, r)
@@ -126,7 +167,7 @@ def test_bogoliubov_residual_zero_squeeze():
     assert bogoliubov_residual(0.0, 64) < 1e-12
 
 
-@pytest.mark.parametrize("r,dim", [(0.8, 200), (1.4, 600)])
+@pytest.mark.parametrize("r,dim", [(0.8, 200), (1.4, 600), (-0.8, 200)])
 def test_bogoliubov_residual_on_trusted_interior(r, dim):
     assert bogoliubov_residual(r, dim) < 1e-8
 
