@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .special import hermite, log_factorial
 
 __all__ = [
@@ -100,25 +102,28 @@ def fock_amplitude_scs(n: int, beta: complex, r: float) -> complex:
                             - 0.5 * (log_factorial(n) + math.log(ch)))
 
 
-def position_wf_scs(q: float, beta: float, r: float) -> float:
+def position_wf_scs(q, beta: float, r: float):
     """<q | beta, r> for real beta: a displaced squeezed Gaussian.
 
     (2 pi Var q)^{-1/4} exp(-(q - q0)^2 / (4 Var q)) with
-    q0 = sqrt(2) e^{-r} beta and Var q = e^{-2r}/2.
+    q0 = sqrt(2) e^{-r} beta and Var q = e^{-2r}/2; vectorized over q.
     """
     b = _real_displacement(beta)
     var_q = position_variance(r)
     q0 = wave_packet_center(b, r)
-    return (2.0 * math.pi * var_q) ** -0.25 * math.exp(-((q - q0) ** 2) / (4.0 * var_q))
+    q = np.asarray(q, dtype=float)
+    return (2.0 * math.pi * var_q) ** -0.25 * np.exp(-((q - q0) ** 2) / (4.0 * var_q))
 
 
-def momentum_wf_scs(p: float, beta: float, r: float) -> complex:
+def momentum_wf_scs(p, beta: float, r: float):
     """<p | beta, r> for real beta.
 
     (2 Var q / pi)^{1/4} exp(-p^2 Var q - i p q0); the Fourier transform
-    of :func:`position_wf_scs` with kernel e^{-ipq}/sqrt(2 pi).
+    of :func:`position_wf_scs` with kernel e^{-ipq}/sqrt(2 pi); vectorized
+    over p.
     """
     b = _real_displacement(beta)
     var_q = position_variance(r)
     q0 = wave_packet_center(b, r)
-    return (2.0 * var_q / math.pi) ** 0.25 * cmath.exp(complex(-p * p * var_q, -p * q0))
+    p = np.asarray(p, dtype=float)
+    return (2.0 * var_q / math.pi) ** 0.25 * np.exp(-p * p * var_q - 1j * p * q0)

@@ -106,8 +106,13 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
         cum = np.cumsum(probs)
         fires = cum >= 1.0 - tail_eps
         if abs(r) >= R_EPS:  # at r = 0 the mass is exhausted at row m // 2
+            # An amplitude carries an absolute rounding error of about eps,
+            # so a probability below eps^2 is noise, and a rise between two
+            # such values says nothing (at small |r| the column's tail sits
+            # on a noise floor near 1e-94 that rises and falls).
+            p = np.where(probs > np.finfo(float).eps ** 2, probs, 0.0)
             i = np.arange(len(probs))
-            rises = np.cumsum(np.concatenate(([0], probs[1:] > probs[:-1])))
+            rises = np.cumsum(np.concatenate(([0], p[1:] > p[:-1])))
             fires &= (i >= window - 1) & (rises == rises[np.maximum(i - window + 1, 0)])
         if fires.any():
             cut = int(np.argmax(fires))
@@ -151,11 +156,11 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = 1e-10,
     eigenvalue m, computed on a block of that parity that doubles until,
     within its lower half, the accumulated probability reaches
     1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity probabilities
-    are nonincreasing; the cutoff N is the first row where both hold.  The
-    second condition keeps the truncation from stopping inside a trough of
-    the oscillating distribution.  At r = 0 the cutoff is m.  Rows of the
-    opposite parity are kept as explicit zeros so the table plots with the
-    true comb structure.
+    are nonincreasing, those below eps^2 taken as zero; the cutoff N is the
+    first row where both hold.  The second condition keeps the truncation
+    from stopping inside a trough of the oscillating distribution.  At
+    r = 0 the cutoff is m.  Rows of the opposite parity are kept as
+    explicit zeros so the table plots with the true comb structure.
 
     ``tail_eps`` must lie in [1e-14, 1): a normalized float64 column cannot
     resolve a smaller tail.  Raises :class:`NonConvergenceError` if the

@@ -3,7 +3,8 @@
 Each suite runs the cross-route and invariant checks of one area at desk
 scale and reports machine-readable results.  Everything is deterministic:
 the random samples here use a fixed seed and the oracle draws no random
-numbers, so repeated runs produce identical bytes.
+numbers, so repeated runs produce identical bytes.  Masses and variances
+use exact Gauss-Hermite quadrature, and the Fourier pairs the same nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from . import analysis, fock_oracle, genfun
-from .squeezed_coherent import momentum_wf_scs, position_wf_scs
+from .squeezed_coherent import momentum_wf_scs, position_wf_scs, wave_packet_center
 from .squeezed_number import (SqueezedNumberState, coherent_amplitude,
                               coherent_amplitude_grid, fock_amplitude,
                               momentum_wf, photon_distribution, position_wf)
@@ -21,6 +22,7 @@ from .squeezed_number import (SqueezedNumberState, coherent_amplitude,
 __all__ = ["SUITES", "run_suites"]
 
 ORACLE_R_SET = (0.3, 0.973, 1.4)
+NORMALIZATION_R_SET = (0.0, 0.5, 1.4, -0.8)
 
 
 def _check(name: str, measured: float, limit: float, passed=None) -> dict:
@@ -44,57 +46,48 @@ def suite_parity(max_m: int = 12) -> list[dict]:
     return [_check("mixed-parity amplitudes are exactly zero", worst, 0.0, passed=exact)]
 
 
+def _gauss_hermite(n: int):
+    """Nodes x and folded weights w e^{x^2} of the n-point Gauss-Hermite rule
+    (Golub and Welsch, 1969): sum(w * f(x)) is the integral of f over the
+    line, exact when f is e^{-x^2} times a polynomial of degree below 2n."""
+    x, w = np.polynomial.hermite.hermgauss(n)
+    return x, w * np.exp(x * x)
+
+
 def suite_normalization(max_m: int = 7) -> list[dict]:
-    from scipy.integrate import quad
+    # Each density is a Gaussian times a polynomial of degree 2m, so the
+    # Gauss-Hermite rule with m + 1 nodes per axis integrates it exactly.
     checks = []
     states = [SqueezedNumberState(m, r) for m in (0, 1, min(7, max_m))
-              for r in (0.0, 0.5, 1.4)]
+              for r in NORMALIZATION_R_SET]
     worst = max(abs(photon_distribution(st, 1e-12).probs.sum() - 1.0) for st in states)
     checks.append(_check("photon distributions sum to 1", worst, 1e-9))
 
-    worst_q = worst_p = 0.0
+    worst_q = worst_p = worst_h = 0.0
     for st in states:
-        lim_q = math.exp(-st.r) * (math.sqrt(2.0 * st.m + 1.0) + 12.0)
-        lim_p = math.exp(st.r) * (math.sqrt(2.0 * st.m + 1.0) + 12.0)
-        iq = quad(lambda q: position_wf(q, st) ** 2, -lim_q, lim_q, limit=300)[0]
-        ip = quad(lambda p: abs(momentum_wf(p, st)) ** 2, -lim_p, lim_p, limit=300)[0]
-        worst_q = max(worst_q, abs(iq - 1.0))
-        worst_p = max(worst_p, abs(ip - 1.0))
+        x, w = _gauss_hermite(st.m + 1)
+        s = math.exp(-st.r)  # |<q|m,r>|^2 is e^{-x^2} times a polynomial at q = s x
+        worst_q = max(worst_q, abs(s * (w @ position_wf(s * x, st) ** 2) - 1.0))
+        worst_p = max(worst_p, abs(w @ np.abs(momentum_wf(x / s, st)) ** 2 / s - 1.0))
+        # Q(x + iy) carries e^{-(1 + tanh r) x^2 - (1 - tanh r) y^2}
+        th = math.tanh(st.r)
+        alpha = x[None, :] / math.sqrt(1.0 + th) + 1j * x[:, None] / math.sqrt(1.0 - th)
+        q = np.abs(coherent_amplitude_grid(alpha, st)) ** 2 / math.pi
+        worst_h = max(worst_h, abs(w @ q @ w * math.cosh(st.r) - 1.0))
     checks.append(_check("position densities integrate to 1", worst_q, 1e-9))
     checks.append(_check("momentum densities integrate to 1", worst_p, 1e-9))
-
-    nodes = np.polynomial.legendre.leggauss(800)
-    worst = 0.0
-    for st in states:
-        worst = max(worst, abs(_q_total_mass(st, nodes) - 1.0))
-    checks.append(_check("Husimi functions integrate to 1", worst, 1e-6))
+    checks.append(_check("Husimi functions integrate to 1", worst_h, 1e-6))
 
     worst = 0.0
-    for r in (0.0, 0.5, 1.4):
-        lim_q = math.exp(-r) * 14.0
-        lim_p = math.exp(r) * 14.0
-        var_q = quad(lambda q: q * q * position_wf_scs(q, 0.0, r) ** 2,
-                     -lim_q, lim_q, limit=300)[0]
-        var_p = quad(lambda p: p * p * abs(momentum_wf_scs(p, 0.0, r)) ** 2,
-                     -lim_p, lim_p, limit=300)[0]
+    x, w = _gauss_hermite(2)
+    for r in NORMALIZATION_R_SET:
+        s = math.exp(-r)
+        var_q = s * (w @ ((s * x) ** 2 * position_wf_scs(s * x, 0.0, r) ** 2))
+        var_p = w @ ((x / s) ** 2 * np.abs(momentum_wf_scs(x / s, 0.0, r)) ** 2) / s
         worst = max(worst, abs(var_q - 0.5 * math.exp(-2.0 * r)),
                     abs(var_p - 0.5 * math.exp(2.0 * r)))
     checks.append(_check("quadrature variances match e^{+-2r}/2", worst, 1e-8))
     return checks
-
-
-def _q_total_mass(st: SqueezedNumberState, nodes) -> float:
-    """Integral of Q over the plane by the Gauss-Legendre ``nodes`` on a box
-    holding all but ~1e-12 of the mass (the Im pad scales with e^r because
-    the vacuum smoothing of Q is stretched along that axis)."""
-    lim_re = math.exp(-st.r) * math.sqrt(2.0 * st.m + 1.0) + 7.0
-    lim_im = math.exp(st.r) * (math.sqrt(2.0 * st.m + 1.0) + 7.0)
-    x, wx = nodes
-    re = lim_re * x
-    im = lim_im * x
-    grid = re[None, :] + 1j * im[:, None]
-    qv = np.abs(coherent_amplitude_grid(grid, st)) ** 2 / math.pi
-    return float(lim_re * lim_im * wx @ qv @ wx)
 
 
 def suite_oracle(max_m: int = 12) -> list[dict]:
@@ -181,26 +174,32 @@ def suite_genfun(max_m: int = 12) -> list[dict]:
     return checks
 
 
+def _fourier_rule(m: int, center: float, r: float):
+    """Nodes q and weights w with (w * psi(q)) @ e^{-ipq} the Fourier
+    integral of psi(q) e^{-ipq} / sqrt(2 pi), for psi a Gaussian of width
+    e^{-r} about ``center`` times a polynomial of degree m.  The phase is no
+    polynomial, so the rule is not exact; its error falls exponentially in
+    the node count, and a fixed m + 41 nodes reaches rounding here."""
+    x, w = _gauss_hermite(m + 41)
+    s = math.sqrt(2.0) * math.exp(-r)  # psi(q) is e^{-x^2} times a polynomial
+    return center + s * x, s * w / math.sqrt(2.0 * math.pi)
+
+
 def suite_fourier(max_m: int = 8) -> list[dict]:
-    from scipy.integrate import quad
     checks = []
     worst = 0.0
     for m, r in ((0, 0.0), (1, 0.9), (3, 1.5), (min(8, max_m), 1.2)):
         st = SqueezedNumberState(m, r)
-        lim = math.exp(-r) * (math.sqrt(2.0 * m + 1.0) + 12.0)
-        for p in (0.0, 0.7 * math.exp(r), 1.6 * math.exp(r)):
-            re = quad(lambda q: position_wf(q, st) * math.cos(p * q), -lim, lim, limit=400)[0]
-            im = quad(lambda q: -position_wf(q, st) * math.sin(p * q), -lim, lim, limit=400)[0]
-            ft = complex(re, im) / math.sqrt(2.0 * math.pi)
-            worst = max(worst, abs(ft - momentum_wf(p, st)))
+        p = np.array([0.0, 0.7, 1.6]) * math.exp(r)
+        q, w = _fourier_rule(m, 0.0, r)
+        ft = np.exp(-1j * np.outer(p, q)) @ (w * position_wf(q, st))
+        worst = max(worst, float(np.abs(ft - momentum_wf(p, st)).max()))
     checks.append(_check("momentum wf is the Fourier transform of position wf",
                          worst, 1e-7))
 
     beta, r, p = 0.3, 0.9, 0.7
-    lim = 14.0
-    re = quad(lambda q: position_wf_scs(q, beta, r) * math.cos(p * q), -lim, lim, limit=400)[0]
-    im = quad(lambda q: -position_wf_scs(q, beta, r) * math.sin(p * q), -lim, lim, limit=400)[0]
-    ft = complex(re, im) / math.sqrt(2.0 * math.pi)
+    q, w = _fourier_rule(0, wave_packet_center(beta, r), r)
+    ft = np.exp(-1j * p * q) @ (w * position_wf_scs(q, beta, r))
     checks.append(_check("squeezed coherent Fourier pair",
                          abs(ft - momentum_wf_scs(p, beta, r)), 1e-8))
     return checks

@@ -155,6 +155,16 @@ def test_momentum_wf_is_fourier_transform():
     assert abs(ft - momentum_wf_scs(p, beta, r)) < 1e-8
 
 
+def test_quadrature_wfs_take_arrays():
+    beta, r = 0.3, -0.7
+    x = np.linspace(-4.0, 4.0, 17)
+    assert np.array_equal(position_wf_scs(x, beta, r),
+                          [position_wf_scs(float(v), beta, r) for v in x])
+    assert np.array_equal(momentum_wf_scs(x, beta, r),
+                          [momentum_wf_scs(float(v), beta, r) for v in x])
+    assert position_wf_scs(x.reshape(1, -1), beta, r).shape == (1, 17)
+
+
 def test_quadrature_wfs_reject_complex_displacement():
     with pytest.raises(ValueError):
         position_wf_scs(0.1, 0.5 + 0.2j, 0.3)

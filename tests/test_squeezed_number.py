@@ -111,6 +111,19 @@ def test_photon_distribution_nonconvergence_error():
         photon_distribution(SqueezedNumberState(7, 1.4), 1e-10, hard_cap=30)
 
 
+@pytest.mark.parametrize("r", [1e-3, -1e-3, 1e-5, 1e-7, 1e-9, -1e-9, 1e-12, 1e-13])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_fock_amplitude_small_squeeze_is_near_delta(m, r):
+    # the eigenvector's tail sits on a noise floor far below eps^2 here,
+    # which must not keep the cutoff rule from firing
+    amps = fock_amplitude(np.arange(20), SqueezedNumberState(m, r))
+    delta = np.arange(20) == m
+    assert np.abs(amps - delta).max() < 2.0 * abs(r) * math.sqrt(m + 2)
+    table = photon_distribution(SqueezedNumberState(m, r))
+    assert table.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert table.meta.truncation["cutoff"] < 40
+
+
 def fock_amplitude_mp(n, m, r, mp):
     """<n|m,r> from the finite sum over k of the common parity of n and m,
 
@@ -346,6 +359,22 @@ def test_q_normalization_by_2d_quadrature():
     qv = np.abs(coherent_amplitude_grid(grid, st)) ** 2 / math.pi
     mass = lim_re * lim_im * float(w @ qv @ w)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("m,r", [(40, 0.8), (40, -0.8), (40, 1.4), (12, -1.4)])
+def test_masses_by_gauss_hermite_at_large_m(m, r):
+    # each density is a Gaussian times a polynomial of degree 2m, so m + 1
+    # Gauss-Hermite nodes per axis integrate it exactly; weights carry e^{x^2}
+    st = SqueezedNumberState(m, r)
+    x, w = np.polynomial.hermite.hermgauss(m + 1)
+    w = w * np.exp(x * x)
+    s = math.exp(-r)
+    assert s * (w @ position_wf(s * x, st) ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert w @ np.abs(momentum_wf(x / s, st)) ** 2 / s == pytest.approx(1.0, abs=1e-12)
+    th = math.tanh(r)
+    alpha = x[None, :] / math.sqrt(1.0 + th) + 1j * x[:, None] / math.sqrt(1.0 - th)
+    qv = np.abs(coherent_amplitude_grid(alpha, st)) ** 2 / math.pi
+    assert w @ qv @ w * math.cosh(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def coherent_amplitude_mp(alpha, m, r, mp):
