@@ -108,10 +108,10 @@ def maxima_count_law(m: int) -> int:
 
 
 def _sampled_table(state: SqueezedNumberState, representation: str, density,
-                   scale: float, half_width: float, step: float | None) -> DistributionTable:
+                   scale: float, half_width: float) -> DistributionTable:
     """``density`` on the symmetric uniform grid over [-half_width, half_width]
-    (step 0.01 ``scale`` by default)."""
-    step = step or 0.01 * scale
+    with step 0.01 ``scale``."""
+    step = 0.01 * scale
     n = int(math.ceil(half_width / step))
     grid = step * np.arange(-n, n + 1)
     meta = TableMeta(state=(state.m, state.r), representation=representation,
@@ -119,29 +119,25 @@ def _sampled_table(state: SqueezedNumberState, representation: str, density,
     return DistributionTable(grid, density(grid), meta)
 
 
-def position_density_table(state: SqueezedNumberState, half_width: float | None = None,
-                           step: float | None = None) -> DistributionTable:
+def position_density_table(state: SqueezedNumberState) -> DistributionTable:
     """|<q|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^{-r})."""
     scale = math.exp(-state.r)
     return _sampled_table(state, "position", lambda q: position_wf(q, state) ** 2, scale,
-                          half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0), step)
+                          scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
-def momentum_density_table(state: SqueezedNumberState, half_width: float | None = None,
-                           step: float | None = None) -> DistributionTable:
+def momentum_density_table(state: SqueezedNumberState) -> DistributionTable:
     """|<p|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^r)."""
     scale = math.exp(state.r)
     return _sampled_table(state, "momentum", lambda p: np.abs(momentum_wf(p, state)) ** 2,
-                          scale, half_width or scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0),
-                          step)
+                          scale, scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
-def q_slice_table(state: SqueezedNumberState, half_width: float | None = None,
-                  step: float | None = None) -> DistributionTable:
-    """Husimi Q along the imaginary axis on a symmetric uniform grid."""
+def q_slice_table(state: SqueezedNumberState) -> DistributionTable:
+    """Husimi Q along the imaginary axis on a symmetric uniform grid (step 0.01 e^r)."""
     scale = math.exp(state.r)
     return _sampled_table(state, "qslice", lambda y: q_slice_imag(y, state), scale,
-                          half_width or scale * math.sqrt(state.m + 0.5) + 2.0, step)
+                          scale * math.sqrt(state.m + 0.5) + 2.0)
 
 
 def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray:
@@ -236,16 +232,15 @@ class CorrespondenceRow:
     mismatch_alpha: float  # |n_max - alpha_sq| / alpha_sq
 
 
-def qmax_to_nmax(state: SqueezedNumberState, tail_eps: float = 1e-10,
-                 floor: float = DEFAULT_FLOOR) -> list[CorrespondenceRow]:
+def qmax_to_nmax(state: SqueezedNumberState) -> list[CorrespondenceRow]:
     """Pair each positive-axis Q maximum with |alpha| >= 1 to the closest
     photon-distribution maximum; returns an empty list when no slice
     maximum qualifies."""
-    qrep = find_maxima(q_slice_table(state), floor=floor, refine=True)
+    qrep = find_maxima(q_slice_table(state), refine=True)
     ys = [float(y) for y in qrep.positions if y >= 1.0]
     if not ys:
         return []
-    prep = find_maxima(photon_distribution(state, tail_eps))
+    prep = find_maxima(photon_distribution(state))
     if prep.count == 0:
         return []
     nmaxima = np.asarray(prep.positions, dtype=float)
@@ -260,11 +255,11 @@ def qmax_to_nmax(state: SqueezedNumberState, tail_eps: float = 1e-10,
     return rows
 
 
-def support_widening(m: int, r_values, tail_eps: float = 1e-10) -> list[tuple[float, int]]:
+def support_widening(m: int, r_values) -> list[tuple[float, int]]:
     """Position of the last photon-distribution maximum for each r."""
     rows = []
     for r in r_values:
-        rep = find_maxima(photon_distribution(SqueezedNumberState(m, r), tail_eps))
+        rep = find_maxima(photon_distribution(SqueezedNumberState(m, r)))
         if rep.count == 0:
             raise ScanError(f"no maxima found for m={m}, r={r}")
         rows.append((float(r), int(rep.positions[-1])))
@@ -285,7 +280,7 @@ class SliceRatioReport:
 
 
 def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3,
-                          scaling: str = "rescaled", step: float | None = None) -> SliceRatioReport:
+                          scaling: str = "rescaled") -> SliceRatioReport:
     """Measure how far the Husimi slice is from a constant multiple of the
     momentum density.
 
@@ -306,7 +301,7 @@ def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3
     if scaling not in ("direct", "rescaled"):
         raise ValueError("scaling must be 'direct' or 'rescaled'")
     m, r = state.m, state.r
-    step = step or 0.01 * math.exp(r)
+    step = 0.01 * math.exp(r)
     p_max = math.exp(r) * (math.sqrt(2.0 * m + 1.0) + 4.0)
     p = step * np.arange(0, int(p_max / step) + 1)
     dens = np.abs(momentum_wf(p, state)) ** 2

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, verify
 from .semiclassical import OverlapParams, approx_p, classical_boundary, fit_scale
-from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
+from .squeezed_number import (TAIL_EPS, NonConvergenceError, SqueezedNumberState,
                               momentum_wf, photon_distribution, position_wf,
                               q_grid, q_slice_imag)
 from .tables import GridSpec
@@ -31,6 +31,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NONCONVERGENCE = 4
+
+SAMPLED_TABLES = {"position": analysis.position_density_table,
+                  "momentum": analysis.momentum_density_table,
+                  "qslice": analysis.q_slice_table}
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,15 @@ class RunConfig:
 
     def as_json(self) -> str:
         return json.dumps({"command": self.command, **self.params}, sort_keys=True)
+
+
+def _emit(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        with open(out, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
@@ -76,11 +89,7 @@ def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
         if extra_header:
             payload["meta"] = extra_header
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="\n") as fh:
-            fh.write(text)
+    _emit(text, out)
 
 
 def _slice_companion_path(out: str) -> str:
@@ -181,19 +190,9 @@ def cmd_semiclassical(args) -> int:
 def cmd_maxima(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
     rep = args.representation
-    if rep == "photon":
-        table = photon_distribution(state, args.tail_eps)
-        refine = False
-    elif rep == "position":
-        table = analysis.position_density_table(state)
-        refine = True
-    elif rep == "momentum":
-        table = analysis.momentum_density_table(state)
-        refine = True
-    else:
-        table = analysis.q_slice_table(state)
-        refine = True
-    report = analysis.find_maxima(table, floor=args.floor, refine=refine)
+    table = (photon_distribution(state, args.tail_eps) if rep == "photon"
+             else SAMPLED_TABLES[rep](state))
+    report = analysis.find_maxima(table, floor=args.floor, refine=rep != "photon")
     config = RunConfig("maxima", {"representation": rep, "m": args.m, "r": args.r,
                                   "floor": args.floor, "format": args.format})
     _write_table(config, {"position": report.positions, "value": report.values},
@@ -217,12 +216,7 @@ def cmd_transition(args) -> int:
 
 def cmd_verify(args) -> int:
     report = verify.run_suites([args.suite], max_m=args.max_m)
-    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+    _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
@@ -233,16 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "self-verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_state=True):
-        if with_state:
-            p.add_argument("--m", type=int, required=True, help="photon index of the state")
-            p.add_argument("--r", type=float, required=True, help="squeeze parameter")
+    def add_common(p):
+        p.add_argument("--m", type=int, required=True, help="photon index of the state")
+        p.add_argument("--r", type=float, required=True, help="squeeze parameter")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("photon", help="photon-number distribution")
     add_common(p)
-    p.add_argument("--tail-eps", type=float, default=1e-10, dest="tail_eps")
+    p.add_argument("--tail-eps", type=float, default=TAIL_EPS, dest="tail_eps")
     p.set_defaults(func=cmd_photon)
 
     p = sub.add_parser("quad", help="quadrature probability density")
@@ -278,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxima", help="local maxima of one representation")
     add_common(p)
     p.add_argument("--representation",
-                   choices=("photon", "position", "momentum", "qslice"),
+                   choices=("photon", *SAMPLED_TABLES),
                    required=True)
-    p.add_argument("--tail-eps", type=float, default=1e-10, dest="tail_eps")
+    p.add_argument("--tail-eps", type=float, default=TAIL_EPS, dest="tail_eps")
     p.add_argument("--floor", type=float, default=analysis.DEFAULT_FLOOR)
     p.set_defaults(func=cmd_maxima)
 
@@ -295,9 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("verify", help="run self-verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=("parity", "normalization", "oracle", "genfun",
-                            "fourier", "transition", "all"))
+    p.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
     p.add_argument("--max-m", type=int, default=None, dest="max_m")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

@@ -127,22 +127,22 @@ class OverlapComparison:
     diverges_at_edge: bool
 
 
-def overlap_comparison(m: int, r: float, n_points: int = 4000,
-                       interior_fraction: float = 0.8) -> OverlapComparison:
-    """Evaluate both curves on (0, boundary) and compare their structure.
+def overlap_comparison(m: int, r: float) -> OverlapComparison:
+    """Evaluate both curves at 4000 points of (0, boundary) and compare
+    their structure.
 
-    Maxima are matched on the interior window |y| < interior_fraction of
-    the classical boundary, where the approximation is meaningful; the
-    edge ratio documents how it blows up near the turning point.
+    Maxima are matched on the interior window |y| < 0.8 times the classical
+    boundary, where the approximation is meaningful; the edge ratio
+    documents how it blows up near the turning point.
     """
     bound = classical_boundary(m, r)
-    y = np.linspace(0.0, bound, n_points + 2)[1:-1]
+    y = np.linspace(0.0, bound, 4002)[1:-1]
     approx = approx_p(OverlapParams(m, r, y))
     exact = q_slice_imag(y, SqueezedNumberState(m, r))
-    interior = y < interior_fraction * bound
+    interior = y < 0.8 * bound
     scale = fit_scale(approx[interior], exact[interior])
     am, em = (find_maxima(DistributionTable(y[interior], v[interior]),
-                          floor=1e-6, refine=True).positions for v in (approx, exact))
+                          refine=True).positions for v in (approx, exact))
     if len(am) and len(em):
         max_offset = max(float(np.min(np.abs(em - a))) for a in am)
     else:

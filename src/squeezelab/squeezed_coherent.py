@@ -78,8 +78,9 @@ def overlap_coherent(alpha: complex, beta: complex, r: float) -> complex:
     return cmath.exp(expo) / math.sqrt(ch)
 
 
-def fock_amplitude_scs(n: int, beta: complex, r: float) -> complex:
-    """<n | beta, r>: photon amplitude of a squeezed coherent state.
+def fock_amplitude_scs(n: int, beta, r: float):
+    """<n | beta, r>: photon amplitude of a squeezed coherent state;
+    vectorized over beta.
 
     Evaluated as
 
@@ -95,11 +96,11 @@ def fock_amplitude_scs(n: int, beta: complex, r: float) -> complex:
     """
     if n < 0:
         raise ValueError("photon index must be nonnegative")
-    beta = complex(beta)
+    beta = np.asarray(beta, dtype=complex)
     ch, th = math.cosh(r), math.tanh(r)
     mant, log_scale = hermite(n, beta / (2.0 * ch), 0.5 * th)
-    return mant * cmath.exp(log_scale - 0.5 * abs(beta) ** 2 + 0.5 * th * beta ** 2
-                            - 0.5 * (log_factorial(n) + math.log(ch)))
+    return mant * np.exp(log_scale - 0.5 * np.abs(beta) ** 2 + 0.5 * th * beta ** 2
+                         - 0.5 * (log_factorial(n) + math.log(ch)))
 
 
 def position_wf_scs(q, beta: float, r: float):

@@ -225,13 +225,19 @@ SUITES = {
 
 
 def run_suites(names, max_m: int | None = None) -> dict:
-    """Run the requested suites and assemble the v1 report."""
+    """Run the requested suites and assemble the v1 report.  Raises
+    ``ValueError`` for an unknown suite, and for a ``max_m`` at which a suite
+    would check nothing: below 0, or below 3 for the transition scans."""
     if "all" in names:
         names = list(SUITES)
-    report = {"schema": "v1", "suites": {}, "passed": True}
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        least = 3 if name == "transition" else 0
+        if max_m is not None and max_m < least:
+            raise ValueError(f"the {name} suite needs max_m >= {least}, got {max_m}")
+    report = {"schema": "v1", "suites": {}, "passed": True}
+    for name in names:
         kwargs = {} if max_m is None else {"max_m": max_m}
         checks = SUITES[name](**kwargs)
         ok = all(c["passed"] for c in checks)

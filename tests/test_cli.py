@@ -217,6 +217,17 @@ def test_photon_cutoff_cap_exits_4(capsys):
     assert "did not converge within the cutoff cap" in err
 
 
+@pytest.mark.parametrize("r", ["5", "21", "400"])
+def test_photon_window_past_the_cap_exits_4(capsys, r):
+    # the cutoff window alone is wider than the cap; at 21 and 400 it is
+    # past the range of a C long and of a float
+    code, out, err = run(capsys, "photon", "--m", "3", "--r", r)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: photon distribution for m=3")
+    assert "Traceback" not in err
+
+
 def test_photon_tail_eps_below_floor_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["photon", "--m", "3", "--r", "0.8", "--tail-eps", "1e-15"])
@@ -248,6 +259,13 @@ def test_verify_single_suite_passes(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["schema"] == "v1" and doc["passed"]
+
+
+def test_verify_max_m_that_checks_nothing_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--suite", "transition", "--max-m", "2"])
+    assert exc.value.code == 2
+    assert "max_m >= 3" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):

@@ -165,6 +165,15 @@ def test_quadrature_wfs_take_arrays():
     assert position_wf_scs(x.reshape(1, -1), beta, r).shape == (1, 17)
 
 
+@pytest.mark.parametrize("r", [0.8, -0.8])
+def test_fock_amplitude_scs_takes_arrays(r):
+    beta = np.array([0.0, 0.7 - 0.4j, -1.3 + 0.9j, 2.1j, 1.5, -0.05])
+    for n in (0, 5, 40):
+        want = [fock_amplitude_scs(n, complex(b), r) for b in beta]
+        np.testing.assert_allclose(fock_amplitude_scs(n, beta, r), want, rtol=1e-14, atol=0)
+    assert fock_amplitude_scs(3, beta.reshape(2, 3), r).shape == (2, 3)
+
+
 def test_quadrature_wfs_reject_complex_displacement():
     with pytest.raises(ValueError):
         position_wf_scs(0.1, 0.5 + 0.2j, 0.3)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from squeezelab import squeezed_number
 from squeezelab.squeezed_number import (NonConvergenceError,
                                         SqueezedNumberState,
                                         coherent_amplitude,
@@ -109,6 +110,39 @@ def test_photon_distribution_mass_and_meta():
 def test_photon_distribution_nonconvergence_error():
     with pytest.raises(NonConvergenceError):
         photon_distribution(SqueezedNumberState(7, 1.4), 1e-10, hard_cap=30)
+
+
+@pytest.mark.parametrize("r", [5.0, -5.0, 21.0, 400.0])
+def test_cutoff_window_past_the_cap_raises_before_any_solve(r, monkeypatch):
+    # past |r| = 4.26 the window ceil(10 e^{2|r|}) alone is wider than the
+    # default cap's 50 001 same-parity rows; at 21 and 400 it is past the
+    # range of a C long and of a float
+    def no_solve(*args):
+        raise AssertionError("an eigen block was solved")
+    monkeypatch.setattr(squeezed_number, "_column", no_solve)
+    st = SqueezedNumberState(3, r)
+    with pytest.raises(NonConvergenceError, match="did not converge within the cutoff cap"):
+        photon_distribution(st)
+    with pytest.raises(NonConvergenceError, match="did not converge within the cutoff cap"):
+        fock_amplitude(1, st)
+
+
+def test_cutoff_window_at_the_cap_edge():
+    # hard_cap 2000 leaves 1001 even rows: the window is 995 rows at r = 2.3,
+    # where the rule still fires, and 1015 at r = 2.31, where it cannot
+    table = photon_distribution(SqueezedNumberState(0, 2.3), hard_cap=2000)
+    assert table.meta.truncation["window"] == 995
+    assert table.meta.truncation["cutoff"] == 1988
+    with pytest.raises(NonConvergenceError):
+        photon_distribution(SqueezedNumberState(0, 2.31), hard_cap=2000)
+
+
+@pytest.mark.parametrize("m,r", [(7, 1.4), (40, 2.0), (300, 1.5), (3, -0.9)])
+def test_fock_amplitude_squares_are_the_photon_probabilities(m, r):
+    # rows up to the cutoff come from the block photon_distribution reads
+    st = SqueezedNumberState(m, r)
+    table = photon_distribution(st)
+    assert np.array_equal(fock_amplitude(table.coords, st) ** 2, table.probs)
 
 
 @pytest.mark.parametrize("r", [1e-3, -1e-3, 1e-5, 1e-7, 1e-9, -1e-9, 1e-12, 1e-13])

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import squeezelab
 from squeezelab import verify
 
@@ -27,3 +29,31 @@ def test_normalization_checks_hold_at_rounding():
     assert measured["position densities integrate to 1"] < 1e-14
     assert measured["momentum densities integrate to 1"] < 1e-14
     assert measured["quadrature variances match e^{+-2r}/2"] < 1e-14
+
+
+@pytest.mark.parametrize("suite,max_m,least", [
+    ("transition", 2, 3),  # its scans start at m = 3
+    ("transition", -1, 3),
+    ("all", 2, 3),
+    ("parity", -1, 0),
+    ("oracle", -1, 0),
+])
+def test_run_suites_rejects_max_m_that_checks_nothing(suite, max_m, least):
+    with pytest.raises(ValueError, match=f"needs max_m >= {least}, got {max_m}"):
+        verify.run_suites([suite], max_m=max_m)
+
+
+def test_transition_suite_at_its_least_max_m_runs_one_check():
+    report = verify.run_suites(["transition"], max_m=3)
+    assert len(report["suites"]["transition"]["checks"]) == 1
+    assert report["passed"]
+
+
+def test_run_suites_rejects_bad_arguments_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "parity", lambda **kwargs: ran.append(kwargs) or [])
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        verify.run_suites(["parity", "nope"])
+    with pytest.raises(ValueError, match="transition suite needs max_m >= 3"):
+        verify.run_suites(["parity", "transition"], max_m=2)
+    assert ran == []
