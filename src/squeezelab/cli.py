@@ -22,6 +22,7 @@ import numpy as np
 
 from . import __version__, analysis, verify
 from .semiclassical import OverlapParams, approx_p, classical_boundary, fit_scale
+from .squeezed_coherent import check_squeeze
 from .squeezed_number import (TAIL_EPS, NonConvergenceError, SqueezedNumberState,
                               momentum_wf, photon_distribution, position_wf,
                               q_grid, q_slice_imag)
@@ -97,6 +98,14 @@ def _slice_companion_path(out: str) -> str:
     return f"{root}_slice{ext or '.csv'}"
 
 
+def _phase_space_state(args) -> SqueezedNumberState:
+    """The state of a command built on the wave functions or the Husimi
+    kernel, checked for their |r| bound before any e^{+-r} extent is taken
+    (photon tables have a cutoff rule of their own)."""
+    check_squeeze(args.r)
+    return SqueezedNumberState(args.m, args.r)
+
+
 def cmd_photon(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
     table = photon_distribution(state, args.tail_eps)
@@ -108,7 +117,7 @@ def cmd_photon(args) -> int:
 
 
 def cmd_quad(args) -> int:
-    state = SqueezedNumberState(args.m, args.r)
+    state = _phase_space_state(args)
     scale = math.exp(state.r) if args.kind == "momentum" else math.exp(-state.r)
     lim = scale * (math.sqrt(2 * state.m + 1) + 4.0)
     lo = -lim if args.min is None else args.min
@@ -129,7 +138,7 @@ def cmd_quad(args) -> int:
 
 
 def cmd_qfunc(args) -> int:
-    state = SqueezedNumberState(args.m, args.r)
+    state = _phase_space_state(args)
     lim_re = math.exp(-state.r) * math.sqrt(2 * state.m + 1) + 3.0
     lim_im = math.exp(state.r) * math.sqrt(2 * state.m + 1) + 3.0
     bounds = [default if given is None else given for given, default in
@@ -160,7 +169,7 @@ def cmd_qfunc(args) -> int:
 
 
 def cmd_semiclassical(args) -> int:
-    state = SqueezedNumberState(args.m, args.r)
+    state = _phase_space_state(args)
     bound = classical_boundary(state.m, state.r)
     y_lo = args.y_min if args.y_min is not None else 0.0
     y_hi = args.y_max if args.y_max is not None else bound * 1.05
@@ -188,10 +197,9 @@ def cmd_semiclassical(args) -> int:
 
 
 def cmd_maxima(args) -> int:
-    state = SqueezedNumberState(args.m, args.r)
     rep = args.representation
-    table = (photon_distribution(state, args.tail_eps) if rep == "photon"
-             else SAMPLED_TABLES[rep](state))
+    table = (photon_distribution(SqueezedNumberState(args.m, args.r), args.tail_eps)
+             if rep == "photon" else SAMPLED_TABLES[rep](_phase_space_state(args)))
     report = analysis.find_maxima(table, floor=args.floor, refine=rep != "photon")
     config = RunConfig("maxima", {"representation": rep, "m": args.m, "r": args.r,
                                   "floor": args.floor, "format": args.format})

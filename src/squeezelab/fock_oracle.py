@@ -2,14 +2,15 @@
 
 Amplitudes are columns S|m> of the squeeze unitary: the action of the
 exponential of its quadratic generator on a unit vector, by a Chebyshev
-expansion of the propagator.  Nothing here shares code with the closed
-forms or the series engine, which is the point: agreement between all
-three routes is the library's main correctness argument.
+expansion of the propagator, applied in stages of about 0.1 in r on
+bases that grow with the squeeze.  Nothing here shares code with the
+closed forms or the series engine, which is the point: agreement between
+all three routes is the library's main correctness argument.
 
-A column whose squeezed image (reach ~ e^{2r}) meets the truncation edge
-raises instead of returning silently wrong numbers.  One generator per
-parity block feeds the columns, the ladder residual and the dense S (by
-scipy's ``expm``, a second algorithm), which serves only the
+A column whose squeezed image (reach ~ e^{2r}) meets the edge of any
+stage's basis raises instead of returning silently wrong numbers.  One
+generator per parity block feeds the columns, the ladder residual and the
+dense S (by scipy's ``expm``, a second algorithm), which serves only the
 whole-operator checks.
 """
 
@@ -97,42 +98,47 @@ def _bessel_j(rho: float) -> np.ndarray:
     return j[:np.flatnonzero(np.abs(j) > 1e-17)[-1] + 1]
 
 
-def _columns(r: float, dim: int, ms: np.ndarray) -> np.ndarray:
-    """Full-height columns S|m>, m in ``ms``; rows of the other parity are 0.0.
+def _propagate(r: float, dim: int, p: int, v: np.ndarray) -> np.ndarray:
+    """exp(G) v for the generator G of the parity-p block of the dim basis
+    (:func:`_generator`) and start columns v, one row per block row.
 
-    Each parity block applies exp(G) to unit vectors by the Chebyshev
-    expansion of the propagator (Tal-Ezer and Kosloff, J. Chem. Phys. 81,
-    3967, 1984).  G is real antisymmetric, so its spectrum lies in
-    i[-rho, rho] for the Gershgorin bound rho = max_i(|g[i-1]| + |g[i]|), and
-    exp(G) v = J_0(rho) P_0 + 2 sum_k J_k(rho) P_k over the real recurrence
-    P_0 = v, P_1 = (G/rho) v, P_{k+1} = 2 (G/rho) P_k + P_{k-1}, cut where
-    the Bessel coefficients fall below 1e-17.  No random numbers are drawn,
-    so the columns repeat bit for bit.
+    The Chebyshev expansion of the propagator (Tal-Ezer and Kosloff,
+    J. Chem. Phys. 81, 3967, 1984).  G is real antisymmetric, so its
+    spectrum lies in i[-rho, rho] for the Gershgorin bound
+    rho = max_i(|g[i-1]| + |g[i]|), and exp(G) v = J_0(rho) P_0 +
+    2 sum_k J_k(rho) P_k over the real recurrence P_0 = v,
+    P_1 = (G/rho) v, P_{k+1} = 2 (G/rho) P_k + P_{k-1}, cut where the
+    Bessel coefficients fall below 1e-17.  With rho about |r| dim, that is
+    about |r| dim products on the block's dim/2 rows.  No random numbers
+    are drawn, so the columns repeat bit for bit.
     """
-    s = np.zeros((dim, ms.size))
-    for p in np.unique(ms % 2):
-        j = np.flatnonzero(ms % 2 == p)
-        g = _generator(r, dim, p)
-        cur = np.zeros((g.size + 1, j.size))
-        cur[ms[j] // 2, np.arange(j.size)] = 1.0
-        if not g.any():  # r = 0, or a one-row block: S is the identity
-            s[p::2, j] = cur
-            continue
-        rho = float(np.convolve(np.abs(g), [1.0, 1.0]).max())  # row sums |g[i-1]| + |g[i]|
-        coef = _bessel_j(rho)
-        step = (g / rho)[:, None]
-        prev = np.zeros_like(cur)  # P_{-1} = -(G/rho) v, so that the loop starts at P_1
-        prev[:-1] -= step * cur[1:]
-        prev[1:] += step * cur[:-1]
-        out = coef[0] * cur
-        step *= 2.0
-        for c in coef[1:]:
-            prev[:-1] += step * cur[1:]  # P_{k-1} becomes P_{k+1} in place
-            prev[1:] -= step * cur[:-1]
-            prev, cur = cur, prev
-            out += (2.0 * c) * cur
-        s[p::2, j] = out
-    return s
+    g = _generator(r, dim, p)
+    if not g.any():  # r = 0, or a one-row block: exp(G) is the identity
+        return v
+    rho = float(np.convolve(np.abs(g), [1.0, 1.0]).max())  # row sums |g[i-1]| + |g[i]|
+    coef = _bessel_j(rho)
+    step = (g / rho)[:, None]
+    cur = np.array(v, dtype=float)  # the loop overwrites it
+    prev = np.zeros_like(cur)  # P_{-1} = -(G/rho) v, so that the loop starts at P_1
+    prev[:-1] -= step * cur[1:]
+    prev[1:] += step * cur[:-1]
+    out = coef[0] * cur
+    step *= 2.0
+    for c in coef[1:]:
+        prev[:-1] += step * cur[1:]  # P_{k-1} becomes P_{k+1} in place
+        prev[1:] -= step * cur[:-1]
+        prev, cur = cur, prev
+        out += (2.0 * c) * cur
+    return out
+
+
+def _squeeze_columns(r: float, s: np.ndarray, parity: np.ndarray) -> None:
+    """Apply S(r) of the len(s) basis in place to the full-height columns s,
+    column j living on the rows of parity ``parity[j]``."""
+    for p in (0, 1):
+        j = parity == p
+        if j.any():
+            s[p::2, j] = _propagate(r, len(s), p, s[p::2, j])
 
 
 def build_squeeze(r: float, dim: int) -> FockMatrix:
@@ -163,7 +169,8 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
 
     dim defaults to :func:`default_dim` of the largest m.  Raises
     :class:`TrustRegionError` for a row n >= dim // 2, or when a column
-    carries more than ``EDGE_TOL`` in the top eighth of the basis.
+    carries more than ``EDGE_TOL`` in the top eighth of the basis of any
+    stage of the squeeze.
     """
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     if np.any(n < 0) or np.any(m < 0):
@@ -174,12 +181,26 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
         raise TrustRegionError(
             f"rows must lie below dim // 2 = {dim // 2} and columns below {dim}")
     cols = np.unique(m)
-    s = _columns(r, dim, cols)
-    edge = np.abs(s[dim - dim // 8:]).max(axis=0, initial=0.0)
-    if np.any(edge > EDGE_TOL):
-        raise TrustRegionError(
-            f"columns m = {cols[edge > EDGE_TOL].tolist()} reach the edge of "
-            f"the dim={dim} basis at r={r}: {edge.max():.2g} in its top eighth")
+    s = np.zeros((dim, cols.size))
+    s[cols, np.arange(cols.size)] = 1.0
+    # S(r) = S(r/K)^K in stages of about 0.1.  The state after stage k is
+    # |m, r k/K>, whose photon support is about e^{-2|r|(K-k)/K} times the
+    # final one, so stage k runs on the dim basis shrunk by that factor,
+    # with a 1.25x margin and at least 64 rows.  The bases follow from
+    # (r, dim) alone, so a column is the same whichever columns come with it.
+    count = max(1, math.ceil(abs(r) / 0.1))
+    for k in range(1, count + 1):
+        shrink = math.exp(-2.0 * abs(r) * (count - k) / count)
+        basis = min(dim, max(64, math.ceil(1.25 * dim * shrink)))
+        _squeeze_columns(r / count, s[:basis], cols % 2)
+        edge = np.abs(s[basis - basis // 8:]).max(axis=0, initial=0.0)
+        if np.any(edge > EDGE_TOL):
+            where = (f"the dim={dim} basis at r={r}" if k == count else
+                     f"the dim={basis} basis of stage {k} of {count} "
+                     f"toward dim={dim}, r={r}")
+            raise TrustRegionError(
+                f"columns m = {cols[edge > EDGE_TOL].tolist()} reach the edge of "
+                f"{where}: {edge.max():.2g} in its top eighth")
     out = s[n, np.searchsorted(cols, m)]
     return out if out.ndim else float(out)
 
@@ -201,7 +222,9 @@ def bogoliubov_residual(r: float, dim: int, block: int | None = None) -> float:
     if block < 1 or block > dim:
         raise ValueError("block must lie in 1..dim")
     # a zero row and column in front stand for s[n - 1] at n = 0 and S|m - 1> at m = 0
-    s = np.pad(_columns(r, dim, np.arange(block)), ((1, 0), (1, 0)))
+    s = np.eye(dim, block)
+    _squeeze_columns(r, s, np.arange(block) % 2)  # one stage: the truncated generator itself
+    s = np.pad(s, ((1, 0), (1, 0)))
     n = np.arange(dim // 2)
     s_a = np.sqrt(np.arange(block)) * s[n + 1, :-1]
     b_s = (math.cosh(r) * np.sqrt(n + 1)[:, None] * s[n + 2, 1:]

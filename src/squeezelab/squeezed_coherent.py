@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -30,6 +31,15 @@ __all__ = [
 ]
 
 R_EPS = 1e-12  # |r| below this is treated as no squeezing at all
+R_MAX = 0.5 * math.log(sys.float_info.max)  # about 354.89: e^{2|r|} overflows past it
+
+
+def check_squeeze(r: float) -> None:
+    """Raise ValueError for |r| > R_MAX, where the Gaussian factors e^{+-2r}
+    of the wave functions and the Husimi kernel leave float64."""
+    if not abs(r) <= R_MAX:
+        raise ValueError(f"|r| = {abs(r)} exceeds {R_MAX:.6g}, past which "
+                         "e^(2|r|) overflows float64")
 
 
 def _real_displacement(beta) -> float:
@@ -92,10 +102,12 @@ def fock_amplitude_scs(n: int, beta, r: float):
     it polynomial in tanh r: r = 0 reduces to the coherent-state
     beta^n / sqrt(n!) e^{-|beta|^2/2} and r < 0 needs no complex branch.
     The rescaled recurrence keeps n in the hundreds, where H_n at small
-    argument overflows a plain float, in range.
+    argument overflows a plain float, in range.  Raises ValueError for
+    |r| > :data:`R_MAX`.
     """
     if n < 0:
         raise ValueError("photon index must be nonnegative")
+    check_squeeze(r)
     beta = np.asarray(beta, dtype=complex)
     ch, th = math.cosh(r), math.tanh(r)
     mant, log_scale = hermite(n, beta / (2.0 * ch), 0.5 * th)
@@ -109,6 +121,7 @@ def position_wf_scs(q, beta: float, r: float):
     (2 pi Var q)^{-1/4} exp(-(q - q0)^2 / (4 Var q)) with
     q0 = sqrt(2) e^{-r} beta and Var q = e^{-2r}/2; vectorized over q.
     """
+    check_squeeze(r)
     b = _real_displacement(beta)
     var_q = position_variance(r)
     q0 = wave_packet_center(b, r)
@@ -123,6 +136,7 @@ def momentum_wf_scs(p, beta: float, r: float):
     of :func:`position_wf_scs` with kernel e^{-ipq}/sqrt(2 pi); vectorized
     over p.
     """
+    check_squeeze(r)
     b = _real_displacement(beta)
     var_q = position_variance(r)
     q0 = wave_packet_center(b, r)

@@ -228,6 +228,26 @@ def test_photon_window_past_the_cap_exits_4(capsys, r):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("quad", "--kind", "position", "--m", "1", "--r", "400", "--points", "3"),
+    ("quad", "--kind", "momentum", "--m", "1", "--r", "-400", "--points", "3"),
+    ("quad", "--kind", "momentum", "--m", "1", "--r", "800", "--points", "3"),
+    ("qfunc", "--m", "1", "--r", "400", "--n-re", "3", "--n-im", "3"),
+    ("semiclassical", "--m", "1", "--r", "400", "--points", "3"),
+    ("maxima", "--representation", "qslice", "--m", "1", "--r", "400"),
+])
+def test_squeeze_past_float_range_exits_2(capsys, argv):
+    # past |r| = 354.89 e^{2|r|} overflows: the wave functions and the
+    # Husimi kernel refuse it (quad raised OverflowError, qfunc and
+    # semiclassical printed nan), and past 709.8 so would the e^r extents
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "354.891" in out.err and "Traceback" not in out.err
+
+
 def test_photon_tail_eps_below_floor_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["photon", "--m", "3", "--r", "0.8", "--tail-eps", "1e-15"])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import squeezelab
+from squeezelab import fock_oracle as fo
 from squeezelab.fock_oracle import (TrustRegionError, _bessel_j, bogoliubov_residual,
                                     build_squeeze, default_dim, oracle_amplitude,
                                     trusted_dim)
@@ -199,3 +200,67 @@ def test_number_operator_eigenrelation_in_squeezed_basis():
     for m in range(13):
         resid = nb @ s[:, m] - m * s[:, m]
         assert np.linalg.norm(resid[:interior]) < 1e-7
+
+
+def _one_stage_columns(r, dim, ms):
+    """Full-height columns S|m> by one Chebyshev propagation at dim."""
+    cols = np.zeros((dim, len(ms)))
+    for j, m in enumerate(ms):
+        start = np.zeros(((dim - m % 2 + 1) // 2, 1))
+        start[m // 2] = 1.0
+        cols[m % 2::2, j] = fo._propagate(r, dim, m % 2, start)[:, 0]
+    return cols
+
+
+@pytest.mark.parametrize("ms,r", [((40,), 2.0), (range(13), 1.4), (range(13), -1.4)])
+def test_staged_columns_match_one_stage(ms, r):
+    # S(r) = S(r/K)^K on bases that grow with the squeeze gives the column
+    # of one propagation on the final basis
+    ms = list(ms)
+    dim = default_dim(max(ms), r)
+    staged = oracle_amplitude(np.arange(dim // 2)[:, None], ms, r, dim)
+    assert np.abs(staged - _one_stage_columns(r, dim, ms)[:dim // 2]).max() < 1e-14
+
+
+@pytest.mark.parametrize("r", [0.05, 0.3, -0.3, 0.8, 1.4, -1.4, 2.0])
+def test_staging_adds_no_raise(r):
+    # at the smallest dim (on a grid of 4% steps) where the one-stage column
+    # passes the edge rule, and above it, the staged oracle passes too
+    def passes(m, dim):
+        col = _one_stage_columns(r, dim, [m])[:, 0]
+        return np.abs(col[dim - dim // 8:]).max(initial=0.0) <= fo.EDGE_TOL
+
+    for m in (0, 1, 3, 7, 12, 20, 40):
+        grid = [m + 16]
+        while grid[-1] < default_dim(m, r):
+            grid.append(math.ceil(1.04 * grid[-1]))
+        assert passes(m, grid[-1])
+        lo, hi = -1, len(grid) - 1
+        while hi - lo > 1:  # bisect for the first passing grid point
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if passes(m, grid[mid]) else (mid, hi)
+        for dim in (grid[hi], math.ceil(1.1 * grid[hi]), math.ceil(1.5 * grid[hi])):
+            oracle_amplitude(0, m, r, dim)
+
+
+def test_staged_column_does_half_the_work(monkeypatch):
+    # a count, not a timing: Chebyshev terms times block rows summed over
+    # the stages of the (40, 2) column, against one propagation at its dim
+    bessel, generator = fo._bessel_j, fo._generator
+    terms, rows = [], []
+
+    def counted_bessel(rho):
+        terms.append(bessel(rho).size)
+        return bessel(rho)
+
+    def counted_generator(r, dim, p):
+        rows.append((dim - p + 1) // 2)
+        return generator(r, dim, p)
+
+    monkeypatch.setattr(fo, "_bessel_j", counted_bessel)
+    monkeypatch.setattr(fo, "_generator", counted_generator)
+    oracle_amplitude(0, 40, 2.0)
+    staged = sum(k * n for k, n in zip(terms, rows, strict=True))
+    g = generator(2.0, default_dim(40, 2.0), 0)
+    one_stage = bessel(float(np.convolve(np.abs(g), [1.0, 1.0]).max())).size * (g.size + 1)
+    assert len(terms) > 1 and staged <= one_stage / 2

@@ -181,6 +181,14 @@ def test_quadrature_wfs_reject_complex_displacement():
         momentum_wf_scs(0.1, 1j, 0.3)
 
 
+@pytest.mark.parametrize("r", [400.0, -400.0])
+def test_squeezed_coherent_functions_refuse_squeeze_past_float_range(r):
+    for call in (lambda: fock_amplitude_scs(1, 0.5, r), lambda: position_wf_scs(0.1, 0.5, r),
+                 lambda: momentum_wf_scs(0.1, 0.5, r)):
+        with pytest.raises(ValueError, match="354.891"):
+            call()
+
+
 def test_quadrature_variances_from_distributions():
     for r in (0.0, 0.5, 1.4):
         vq, _ = quad(lambda q: q * q * position_wf_scs(q, 0.0, r) ** 2,

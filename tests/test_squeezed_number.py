@@ -127,6 +127,21 @@ def test_cutoff_window_past_the_cap_raises_before_any_solve(r, monkeypatch):
         fock_amplitude(1, st)
 
 
+@pytest.mark.parametrize("r", [400.0, -400.0])
+def test_phase_space_functions_refuse_squeeze_past_float_range(r):
+    # e^{2|r|} overflows past R_MAX = 354.89; the photon amplitudes keep
+    # their own cutoff rule (previous test), the rest raise ValueError
+    st = SqueezedNumberState(1, r)
+    for call in (lambda: position_wf(0.5, st), lambda: momentum_wf(0.5, st),
+                 lambda: q_slice_imag([0.0, 3.0], st), lambda: q_function(1j, st)):
+        with pytest.raises(ValueError, match="354.891"):
+            call()
+    # just inside the bound every Gaussian factor is still finite
+    inside = SqueezedNumberState(1, math.copysign(354.8, r))
+    assert np.isfinite(position_wf([0.0, 1e-160], inside)).all()
+    assert np.isfinite(q_slice_imag([0.0, 1.0], inside)).all()
+
+
 def test_cutoff_window_at_the_cap_edge():
     # hard_cap 2000 leaves 1001 even rows: the window is 995 rows at r = 2.3,
     # where the rule still fires, and 1015 at r = 2.31, where it cannot
