@@ -64,22 +64,29 @@ def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
     or JSON v1.
 
     Integer and boolean columns print as integers, float columns with 17
-    significant digits (full double round-trip).
+    significant digits (full double round-trip).  The CSV branch formats
+    each distinct float of a column once and indexes the strings: a Husimi
+    grid repeats most of its coordinates and many of its values.  Floats are
+    told apart by bit pattern, not by value, because 0.0 and -0.0 compare
+    equal but print as "0" and "-0".
     """
     cols = [np.asarray(c) for c in columns.values()]
     is_int = [c.dtype.kind in "biu" for c in cols]
-    # object dtype holds Python ints and floats, as % formatting and json expect
-    rows = np.column_stack([c.astype(int if i else float).astype(object)
-                            for c, i in zip(cols, is_int)])
     if fmt == "csv":
         lines = [f"# squeezelab {__version__} schema v1",
                  f"# config {config.as_json()}"]
         if extra_header:
             lines.append(f"# {json.dumps(extra_header, sort_keys=True)}")
         lines.append(",".join(columns))
-        line = ",".join("%d" if i else "%.17g" for i in is_int) + "\n"
-        text = "\n".join(lines) + "\n" + (line * len(rows)) % tuple(rows.ravel())
+        cells = [c.astype(int).astype(object) if i else _float_strings(c)
+                 for c, i in zip(cols, is_int)]
+        line = ",".join("%d" if i else "%s" for i in is_int) + "\n"
+        body = (line * len(cols[0])) % tuple(np.column_stack(cells).ravel())
+        text = "\n".join(lines) + "\n" + body
     else:
+        # object dtype holds Python ints and floats, as json expects
+        rows = np.column_stack([c.astype(int if i else float).astype(object)
+                                for c, i in zip(cols, is_int)])
         payload = {
             "schema": "v1",
             "generator": f"squeezelab {__version__}",
@@ -91,6 +98,16 @@ def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
             payload["meta"] = extra_header
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _emit(text, out)
+
+
+def _float_strings(column: np.ndarray) -> np.ndarray:
+    """The %.17g text of each entry, as an object array, formatted once per
+    distinct bit pattern."""
+    values = np.ascontiguousarray(column, dtype=float)
+    _, first, inverse = np.unique(values.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    text = ("%.17g\n" * len(first)) % tuple(values[first].tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[inverse]
 
 
 def _slice_companion_path(out: str) -> str:

@@ -29,7 +29,7 @@ class TrustRegionError(ValueError):
     """Requested entries lie outside the truncation-safe block."""
 
 
-EDGE_TOL = 1e-10  # largest |entry| a column may keep in the top eighth of the basis
+EDGE_TOL = 1e-10  # largest |entry| a column may keep in the edge rows of the basis
 
 
 def default_dim(m: int, r: float) -> int:
@@ -169,8 +169,9 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
 
     dim defaults to :func:`default_dim` of the largest m.  Raises
     :class:`TrustRegionError` for a row n >= dim // 2, or when a column
-    carries more than ``EDGE_TOL`` in the top eighth of the basis of any
-    stage of the squeeze.
+    carries more than ``EDGE_TOL`` in the edge rows of the basis of any
+    stage of the squeeze: its top eighth, and at least its top two rows,
+    so that a basis of under 16 rows still has an edge of each parity.
     """
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     if np.any(n < 0) or np.any(m < 0):
@@ -193,14 +194,14 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
         shrink = math.exp(-2.0 * abs(r) * (count - k) / count)
         basis = min(dim, max(64, math.ceil(1.25 * dim * shrink)))
         _squeeze_columns(r / count, s[:basis], cols % 2)
-        edge = np.abs(s[basis - basis // 8:]).max(axis=0, initial=0.0)
+        edge = np.abs(s[basis - max(2, basis // 8):]).max(axis=0, initial=0.0)
         if np.any(edge > EDGE_TOL):
             where = (f"the dim={dim} basis at r={r}" if k == count else
                      f"the dim={basis} basis of stage {k} of {count} "
                      f"toward dim={dim}, r={r}")
             raise TrustRegionError(
                 f"columns m = {cols[edge > EDGE_TOL].tolist()} reach the edge of "
-                f"{where}: {edge.max():.2g} in its top eighth")
+                f"{where}: {edge.max():.2g} in its edge rows")
     out = s[n, np.searchsorted(cols, m)]
     return out if out.ndim else float(out)
 

@@ -236,18 +236,38 @@ def q_function(alpha: complex, state: SqueezedNumberState) -> float:
     return abs(coherent_amplitude(alpha, state)) ** 2 / math.pi
 
 
+def _folded(axis: np.ndarray):
+    """(distinct |axis| values, index of each entry among them)."""
+    mags, inverse = np.unique(np.abs(axis), return_inverse=True)
+    return mags, inverse.reshape(axis.shape)
+
+
 def q_slice_imag(y, state: SqueezedNumberState) -> np.ndarray:
-    """Q along the imaginary axis, Q(i y), vectorized over y."""
-    y = np.asarray(y, dtype=float)
-    amp = coherent_amplitude_grid(1j * y, state)
-    return np.abs(amp) ** 2 / math.pi
+    """Q along the imaginary axis, Q(i y), vectorized over y.
+
+    Q is even in y (see :func:`q_grid`), so the kernel runs once per
+    distinct |y|, and each y gets that value, bit for bit the one the
+    kernel gives at y itself.
+    """
+    mags, inverse = _folded(np.asarray(y, dtype=float))
+    amp = coherent_amplitude_grid(1j * mags, state)
+    return (np.abs(amp) ** 2 / math.pi)[inverse]
 
 
 def q_grid(state: SqueezedNumberState, grid: GridSpec) -> np.ndarray:
     """Husimi Q on a rectangular grid, row-major with Im alpha as the slow axis.
 
-    out[i, j] = Q(re[j] + 1j * im[i]).
+    out[i, j] = Q(re[j] + 1j * im[i]).  The photon amplitudes <n|m,r> are
+    real and of one parity, so Q(conj alpha) = Q(-alpha) = Q(alpha) and
+    Q(re + i im) = Q(|re| + i |im|).  The kernel runs once on the product
+    of the distinct |re| and |im| of the axes, and every step of it (complex
+    scaling, Hermite recurrence, rescaling bound, exponential, modulus) is
+    symmetric under those sign flips, so each point reads its mirror's
+    value bit for bit.  The axes stay ``linspace`` values, whose mirrors
+    are not always exact negatives, so the distinct magnitudes are found
+    by sorting rather than by halving the axis; on the README grid about
+    a quarter of the |coordinates| repeat.
     """
-    re, im = grid.axes()
+    (re, re_inv), (im, im_inv) = map(_folded, grid.axes())
     amp = coherent_amplitude_grid(re[None, :] + 1j * im[:, None], state)
-    return np.abs(amp) ** 2 / math.pi
+    return (np.abs(amp) ** 2 / math.pi)[np.ix_(im_inv, re_inv)]

@@ -106,8 +106,8 @@ def suite_oracle(max_m: int = 12) -> list[dict]:
         worst_go = max(worst_go, float(np.abs(series - oracle).max()))
         worst_cg = max(worst_cg, float(np.abs(eigen - series).max()))
         worst_orth = max(worst_orth, float(np.abs(cols.T @ cols - np.eye(ns.size)).max()))
-    checks.append(_check("eigenvector vs matrix exponential", worst_co, 1e-8))
-    checks.append(_check("series extraction vs matrix exponential", worst_go, 1e-8))
+    checks.append(_check("eigenvector vs oracle column", worst_co, 1e-8))
+    checks.append(_check("series extraction vs oracle column", worst_go, 1e-8))
     checks.append(_check("eigenvector vs series extraction", worst_cg, 1e-8))
     checks.append(_check("oracle columns are orthonormal", worst_orth, 1e-10))
 
@@ -116,7 +116,7 @@ def suite_oracle(max_m: int = 12) -> list[dict]:
         n = np.arange(fock_oracle.default_dim(m, r) // 2)
         eigen = fock_amplitude(n, SqueezedNumberState(m, r))
         worst = max(worst, float(np.abs(eigen - fock_oracle.oracle_amplitude(n, m, r)).max()))
-    checks.append(_check("eigenvector vs matrix exponential at (60, 1), (100, 0.5), (40, 2)",
+    checks.append(_check("eigenvector vs oracle column at (60, 1), (100, 0.5), (40, 2)",
                          worst, 1e-12))
 
     for r, dim in ((0.8, 200), (1.4, 600)):

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from squeezelab import cli, verify
+from squeezelab.squeezed_number import SqueezedNumberState, q_grid, q_slice_imag
+from squeezelab.tables import GridSpec
 
 
 def run(capsys, *argv):
@@ -327,6 +329,12 @@ def _reference_csv_body(columns):
     WRITER_COLUMNS,
     {"n": np.array([], dtype=int), "x": np.array([])},
     {"x": np.array([0.5])},
+    # one string per bit pattern: 0.0 and -0.0 are equal but print apart
+    {"x": np.array([0.0, -0.0, 1.5, -0.0, 0.0]), "y": np.array([-0.0, -0.0, 0.0, 2.0, 0.0])},
+    {"x": np.array([math.nan, -math.inf, math.nan, math.inf, -math.nan, math.inf, -math.inf])},
+    {"x": np.tile([0.1, 2.0 / 3.0, -1e-300, 123456789.0], 50),
+     "y": np.repeat([5e-324, -0.25, 1e300, 0.1], 50)},
+    {"n": np.array([3, 3, -1, 3, 2 ** 40, -1]), "x": np.array([0.5, 0.5, -0.5, 0.5, 0.5, 0.0])},
 ])
 def test_write_table_matches_per_value_reference(tmp_path, columns):
     config = cli.RunConfig("stub", {"k": 1})
@@ -344,6 +352,24 @@ def test_write_table_matches_per_value_reference(tmp_path, columns):
     assert json.dumps(doc["rows"]) == json.dumps(want)
     for got_row, want_row in zip(doc["rows"], want):
         assert [type(v) for v in got_row] == [type(v) for v in want_row]
+
+
+def test_qfunc_readme_csv_matches_per_value_reference(tmp_path):
+    out = tmp_path / "q.csv"
+    assert cli.main(["qfunc", "--m", "7", "--r", "1.4", "--n-re", "161", "--n-im", "321",
+                     "--out", str(out)]) == 0
+    lines = out.read_text().splitlines(keepends=True)
+    cfg = json.loads(lines[1][len("# config "):])
+    grid = GridSpec(*(cfg[k] for k in ("re_min", "re_max", "im_min", "im_max",
+                                       "n_re", "n_im")))
+    state = SqueezedNumberState(7, 1.4)
+    re, im = grid.axes()
+    columns = {"re": np.tile(re, grid.n_im), "im": np.repeat(im, grid.n_re),
+               "Q": q_grid(state, grid).ravel()}
+    assert "".join(lines[3:]) == _reference_csv_body(columns)
+    slice_lines = (tmp_path / "q_slice.csv").read_text().splitlines(keepends=True)
+    assert "".join(slice_lines[2:]) == _reference_csv_body(
+        {"im": im, "Q": q_slice_imag(im, state)})
 
 
 def test_write_table_prints_masks_as_integers(capsys):

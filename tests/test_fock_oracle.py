@@ -1,4 +1,4 @@
-"""Tests for the truncated-basis matrix-exponential oracle: the column
+"""Tests for the truncated-basis oracle: the column
 oracle behind every amplitude, and the dense matrix behind the operator
 identities."""
 
@@ -114,6 +114,20 @@ def test_oracle_amplitude_outside_trusted_block_raises():
         oracle_amplitude(0, 12, 1.4, dim=300)  # column reaches the edge
     with pytest.raises(ValueError):
         oracle_amplitude(-1, 0, 0.5)
+
+
+@pytest.mark.parametrize("n,m,r,want", [(0, 0, 2.0, 1.0 / math.sqrt(math.cosh(2.0))),
+                                         (1, 1, 0.5, math.cosh(0.5) ** -1.5)],
+                         ids=["m0-r2.0", "m1-r0.5"])
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_oracle_amplitude_at_tiny_dim_raises_or_is_right(n, m, r, want, dim):
+    # below 16 rows the top eighth of the basis is empty or of one parity;
+    # the edge must still catch a column that reaches it
+    try:
+        got = oracle_amplitude(n, m, r, dim=dim)
+    except (TrustRegionError, ValueError):
+        return
+    assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_trusted_block_is_dim_stable_under_doubling():

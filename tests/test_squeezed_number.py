@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 
 from squeezelab import squeezed_number
@@ -397,6 +399,93 @@ def test_q_slice_eight_maxima_on_im_axis_m7_r14():
     count = sum(1 for i in range(1, len(y) - 1)
                 if q[i] > q[i - 1] and q[i] > q[i + 1] and q[i] > 1e-6 * q.max())
     assert count == 8
+
+
+def q_grid_unfolded(state, grid):
+    # q_grid before the fold: the kernel at every point of the grid
+    re, im = grid.axes()
+    amp = coherent_amplitude_grid(re[None, :] + 1j * im[:, None], state)
+    return np.abs(amp) ** 2 / math.pi
+
+
+def q_slice_imag_unfolded(y, state):
+    y = np.asarray(y, dtype=float)
+    amp = coherent_amplitude_grid(1j * y, state)
+    return np.abs(amp) ** 2 / math.pi
+
+
+class FixedAxes:
+    """A grid whose axes are given arrays, for values linspace cannot make."""
+
+    def __init__(self, re, im):
+        self.re, self.im = np.array(re, dtype=float), np.array(im, dtype=float)
+
+    def axes(self):
+        return self.re, self.im
+
+
+fold_states = hst.builds(
+    SqueezedNumberState,
+    hst.sampled_from([0, 1, 2, 3, 7, 8, 20, 59, 300]),
+    hst.sampled_from([0.0, 1e-7, -1e-7, 0.3, -0.8, 1.4, -1.4, 2.0]))
+
+
+@hst.composite
+def fold_extents(draw):
+    """(lo, hi) of a linspace axis: exact and near mirrors, ends at +-0.0,
+    or free."""
+    a = draw(hst.floats(0.05, 6.0))
+    kind = draw(hst.sampled_from(["mirror", "near", "to -0", "from +0", "free"]))
+    if kind == "mirror":
+        return -a, a
+    if kind == "near":
+        return -a, a * (1.0 + draw(hst.sampled_from([2.2e-16, 1e-12, 1e-6])))
+    if kind == "to -0":
+        return -a, -0.0  # linspace ends on -0.0 exactly
+    if kind == "from +0":
+        return 0.0, a
+    lo = draw(hst.floats(-6.0, 5.9))
+    return lo, lo + draw(hst.floats(0.01, 6.0))
+
+
+@hst.composite
+def fold_axes(draw):
+    """An arbitrary axis holding +0.0, -0.0, mirrored pairs and near mirrors."""
+    base = draw(hst.lists(hst.one_of(hst.sampled_from([0.0, -0.0]), hst.floats(-6.0, 6.0)),
+                         min_size=1, max_size=9))
+    mirrors = [-v for v in base if draw(hst.booleans())]
+    near = [-v * (1.0 + 2.2e-16) for v in base if draw(hst.booleans())]
+    return draw(hst.permutations(base + mirrors + near))
+
+
+@settings(max_examples=150, deadline=None)
+@given(state=fold_states, re=fold_extents(), im=fold_extents(),
+       n_re=hst.integers(2, 13), n_im=hst.integers(2, 13))
+def test_q_grid_fold_bit_identical_on_linspace_axes(state, re, im, n_re, n_im):
+    grid = GridSpec(*re, *im, n_re, n_im)
+    assert np.array_equal(q_grid(state, grid), q_grid_unfolded(state, grid))
+    y = grid.axes()[1]
+    assert np.array_equal(q_slice_imag(y, state), q_slice_imag_unfolded(y, state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=fold_states, re=fold_axes(), im=fold_axes())
+def test_q_grid_fold_bit_identical_on_arbitrary_axes(state, re, im):
+    grid = FixedAxes(re, im)
+    assert np.array_equal(q_grid(state, grid), q_grid_unfolded(state, grid))
+    assert np.array_equal(q_slice_imag(grid.im, state),
+                          q_slice_imag_unfolded(grid.im, state))
+    assert np.array_equal(q_slice_imag(grid.im.reshape(1, -1), state),
+                          q_slice_imag_unfolded(grid.im.reshape(1, -1), state))
+
+
+def test_q_grid_fold_bit_identical_on_readme_grids():
+    for m, r in ((7, 1.4), (300, 1.5), (7, -1.4), (7, 0.0), (7, 1e-7)):
+        state = SqueezedNumberState(m, r)
+        lim_re = math.exp(-r) * math.sqrt(2 * m + 1) + 3.0
+        lim_im = math.exp(r) * math.sqrt(2 * m + 1) + 3.0
+        grid = GridSpec(-lim_re, lim_re, -lim_im, lim_im, 161, 321)
+        assert np.array_equal(q_grid(state, grid), q_grid_unfolded(state, grid))
 
 
 def test_q_normalization_by_2d_quadrature():
