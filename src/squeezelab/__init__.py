@@ -1,10 +1,11 @@
 """squeezelab: squeezed number states of a single field mode.
 
 Every representation (photon number, position, momentum, Husimi Q) is
-available through three mutually independent routes: closed forms (the
-b^dagger b eigenvector for photon amplitudes, one Hermite recurrence for
-the rest), Taylor-coefficient extraction from squeezed-coherent
-generating functions, and a truncated-basis matrix-exponential oracle.
+available through three mutually independent routes: closed forms (a
+Jacobi recurrence in the state index for photon amplitudes, one Hermite
+recurrence for the rest), Taylor-coefficient extraction from
+squeezed-coherent generating functions, and a truncated-basis
+matrix-exponential oracle.
 The analysis layer quantifies the oscillation structure those
 distributions share, and a semiclassical area-of-overlap model
 reproduces it on the Husimi slice.

@@ -1,10 +1,11 @@
 """Amplitudes and distributions of squeezed number states |m, r>.
 
-Photon amplitudes as the eigenvector of b^dagger b with eigenvalue m,
-one parity block at a time; position and momentum wave functions, the
-coherent-basis amplitude and the Husimi Q function through the rescaled
-Hermite kernel.  Both stay meaningful out to photon numbers in the
-thousands where the interesting oscillation structure lives.
+Photon amplitudes from their Jacobi-polynomial form, by a three-term
+recurrence in the state index over all rows of one parity at once;
+position and momentum wave functions, the coherent-basis amplitude and
+the Husimi Q function through the rescaled Hermite kernel.  Both stay
+meaningful out to photon numbers in the thousands where the interesting
+oscillation structure lives.
 """
 
 from __future__ import annotations
@@ -56,69 +57,137 @@ class SqueezedNumberState:
         object.__setattr__(self, "r", float(self.r))
 
 
-def _column(state: SqueezedNumberState, rows: int) -> np.ndarray:
-    """<p + 2k | m, r> for k < rows, p = m % 2.
+def _scaled_cumprod(first: float, ratios: np.ndarray):
+    """(mantissa, exponent) arrays of the running products first,
+    first * ratios[0], first * ratios[0] * ratios[1], ...
 
-    b = cosh(r) a + sinh(r) a^dagger annihilates the squeezed vacuum, so
-    b^dagger b |m, r> = m |m, r>.  Within the parity p, b^dagger b is
-    symmetric tridiagonal (diagonal n cosh 2r + sinh^2 r, off-diagonal
-    sinh(2r)/2 sqrt((n+1)(n+2)) between n and n + 2), and the amplitudes
-    are its eigenvector of index m // 2.  Truncating the block to ``rows``
-    rows leaves rows well inside it exact to rounding.
+    The product runs on mantissas in [0.5, 1) with the power of two beside
+    them, and is renormalized every 512 factors, so it neither underflows
+    nor overflows.  The leading values do not depend on len(ratios).
     """
-    from scipy.linalg import eigh_tridiagonal
+    mant, expo = np.frexp(np.concatenate(([first], ratios)))
+    expo = np.cumsum(expo)
+    carry, shift = 1.0, 0
+    for lo in range(0, len(mant), 512):
+        run, extra = np.frexp(np.cumprod(np.concatenate(([carry], mant[lo:lo + 512])))[1:])
+        mant[lo:lo + 512] = run
+        expo[lo:lo + 512] += extra + shift
+        carry, shift = run[-1], shift + int(extra[-1])
+    return mant, expo
+
+
+def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray:
+    """<p + 2k | m, r> for start <= k < rows, p = m % 2; ``start`` is 0 or
+    above j = m // 2.
+
+    With tau = tanh r, the generating function gives for every d >= 0 and
+    state index i
+
+        <p + 2i + 2d | S(r) | p + 2i> = (-tau/2)^d sqrt((p + 2i + 2d)! / (p + 2i)!)
+            / (d! cosh^{p+1/2} r) * F_i(d),
+        F_i(d) = 2F1(-i, d + i + p + 1/2; d + 1; tau^2),
+
+    and F_i(d) is the Jacobi polynomial P_i^{(d, p-1/2)}(1 - 2 tau^2) over
+    its value at 1 (DLMF 15.8(i), 18.5.7).  The Jacobi three-term
+    recurrence in the degree (DLMF 18.9.2) carries F_0 = 1 to F_j at every
+    offset d of the block at once, in Reinsch's difference form about the
+    nearer end of the interval: about x = 1 in tau^2 while tau^2 < 1/4,
+    otherwise about x = -1 in sech^2 r (with the parameters swapped,
+    P_i^{(a,b)}(x) = (-1)^i P_i^{(b,a)}(-x)).  Either way the small
+    quantity enters every step exactly and never passes through
+    1 - 2 tau^2.  The rows below m come from the same pass:
+    S(r)^T = S(-r) gives <p + 2i | m, r> = (-1)^{j-i} times the step-i value
+    at d = j - i.  Each offset carries its own power-of-two exponent,
+    rescaled every 16 steps, so tau^d underflows nowhere, and no row depends
+    on another: a row is bit for bit the same in any block.
+    """
     m, r = state.m, state.r
+    p, j = m % 2, m // 2
     if abs(r) < R_EPS:
-        col = np.zeros(rows)
-        col[m // 2] = 1.0
+        col = np.zeros(rows - start)
+        if start <= j < rows:
+            col[j - start] = 1.0
         return col
-    n = np.arange(m % 2, m % 2 + 2 * rows, 2, dtype=float)
-    diag = n * math.cosh(2.0 * r) + math.sinh(r) ** 2
-    off = 0.5 * math.sinh(2.0 * r) * np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0))
-    col = eigh_tridiagonal(diag, off, select="i", select_range=(m // 2, m // 2))[1][:, 0]
-    # The solver's sign is arbitrary.  The first row,
-    #   <p|m,r> = sqrt(m!) (sinh r / 2)^j / (j! cosh^{(m+p+1)/2} r), j = m // 2,
-    # has the sign of sinh(r)^j; the eigen-equation's forward recurrence,
-    # stable while the column grows, carries it up to the first row that
-    # stands clear of rounding.
-    mag = np.abs(col)
-    top = int(np.argmax(mag >= 1e-3 * mag.max()))
-    a, b = 0.0, math.copysign(1.0, r) ** (m // 2)
-    for k in range(top):
-        a, b = b, ((m - diag[k]) * b - off[k - 1] * a) / off[k]
-        scale = max(abs(a), abs(b))
-        a, b = a / scale, b / scale
-    return col if b * col[top] > 0.0 else -col
+    tau = math.tanh(r)
+    near_one = tau * tau < 0.25
+    small = tau * tau if near_one else math.cosh(r) ** -2
+    beta = p - 0.5
+    d_lo = max(start - j, 0)
+    d = np.arange(d_lo, max(rows - j, j + 1) if start == 0 else rows - j, dtype=float)
+    g, dg = np.ones_like(d), np.zeros_like(d)  # G_i and G_i - G_{i-1}
+    expo = np.zeros(d.shape, dtype=int)
+    diag, diag_expo = np.empty(j), np.empty(j, dtype=int)  # G_i at d = j - i
+    for i in range(j):
+        if i and i % 16 == 0:
+            shift = np.frexp(np.maximum(np.abs(g), np.abs(dg)))[1]
+            g, dg = np.ldexp(g, -shift), np.ldexp(dg, -shift)
+            expo += shift
+        if start == 0:
+            diag[i], diag_expo[i] = g[j - i], expo[j - i]
+        q = d + (i + p + 0.5)  # i + a + b + 1 for (a, b) = (d, p - 1/2)
+        s = q + (i - 1.0)  # 2i + a + b
+        s2 = s + 2.0
+        if near_one:  # G_i = P_i^{(d,b)}(1 - 2 tau^2) / P_i^{(d,b)}(1)
+            den = q * (d + (i + 1.0))
+            coef = (i * (i + beta)) * s2 / (s * den)
+        else:  # G_i = P_i^{(b,d)}(1 - 2 sech^2 r) / P_i^{(b,d)}(1)
+            den = q * (beta + i + 1.0)
+            coef = i * (d + i) * s2 / (s * den)
+        dg *= coef
+        dg -= (s + 1.0) * s2 / den * small * g
+        g += dg
+    # F_j = G_j about x = 1 and (-1)^j (b + 1)_j / (d + 1)_j G_j about x = -1;
+    # the prefactor's running product over d takes that factor along
+    if near_one:
+        anchor, upper_den = 1.0, np.arange(1.0, d[-1] + 1.0)
+    else:
+        anchor = (-1) ** j * (2 * j + 1) ** p * math.comb(2 * j, j) / 4 ** j
+        upper_den = np.arange(1.0, d[-1] + 1.0) + j
+    anchor *= math.cosh(r) ** -(p + 0.5)
+    n_up = np.arange(m + 2.0, m + 2.0 * d[-1] + 1.0, 2.0)
+    f, f_expo = _scaled_cumprod(anchor, -0.5 * tau * np.sqrt(n_up * (n_up - 1.0)) / upper_den)
+    top = max(rows - j - d_lo, 0)  # offsets of the block at or above m
+    upper = np.ldexp(f[d_lo:d_lo + top] * g[:top], f_expo[d_lo:d_lo + top] + expo[:top])
+    if start:
+        return upper
+    # <p + 2i | m, r> = (-1)^{j-i} (the step-i value at d = j - i), built down from i = j
+    i = np.arange(j - 1.0, -1.0, -1.0)
+    n_low = p + 2.0 * i + 2.0
+    low_den = j - i if near_one else -(beta + 1.0 + i)
+    f, f_expo = _scaled_cumprod(anchor, 0.5 * tau * np.sqrt(n_low * (n_low - 1.0)) / low_den)
+    lower = np.ldexp(f[:0:-1] * diag, f_expo[:0:-1] + diag_expo)
+    return np.concatenate((lower[:rows], upper))
 
 
 def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
-    """(column, truncation): the amplitudes of one parity block grown by
-    doubling until the cutoff rule of :func:`photon_distribution` fires in
-    its lower half, and the truncation record of that table."""
+    """(column, truncation): the amplitudes of one parity from row 0 to at
+    least the cutoff of :func:`photon_distribution`, and the truncation
+    record of that table.
+
+    The first block reaches the window's width past the mean photon number
+    m cosh 2r + sinh^2 r; each later one adds half as many rows again,
+    computing only the new rows, until the cutoff rule fires."""
     if not 1e-14 <= tail_eps < 1.0:
         raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
                          "of the distribution cannot resolve less")
     m, r = state.m, state.r
     cap_rows = (hard_cap - m % 2) // 2 + 1  # rows with n <= hard_cap
-    # a window wider than the rows under the cap fails its test in every block;
+    # a window wider than the rows under the cap can never pass its test;
     # the clipped exponent keeps 10 e^{2|r|} from overflowing
     window = math.ceil(10.0 * math.exp(min(2.0 * abs(r), math.log(max(cap_rows, 1)))))
     if abs(r) >= R_EPS and window > cap_rows:
         raise NonConvergenceError(
             f"photon distribution for m={m}, r={r} did not converge within the cutoff "
             f"cap {hard_cap}: the window of ceil(10 e^(2|r|)) same-parity rows is wider")
-    rows = 2 * (window + m // 2 + 1)
+    mean = m * math.cosh(2.0 * r) + math.sinh(r) ** 2
+    col = _column(state, min(max(math.ceil(mean / 2.0) + window, m // 2 + 1), cap_rows))
     while True:
-        rows = max(min(rows, 2 * cap_rows), m // 2 + 1)
-        col = _column(state, rows)
-        probs = col[:min(rows // 2, cap_rows)] ** 2
+        probs = col ** 2
         cum = np.cumsum(probs)
         fires = cum >= 1.0 - tail_eps
         if abs(r) >= R_EPS:  # at r = 0 the mass is exhausted at row m // 2
-            # An amplitude carries an absolute rounding error of about eps,
-            # so a probability below eps^2 is noise, and a rise between two
-            # such values says nothing (at small |r| the column's tail sits
-            # on a noise floor near 1e-94 that rises and falls).
+            # a probability below eps^2 lies below what a float64 column of
+            # mass 1 resolves, so a rise between two such values says nothing
             p = np.where(probs > np.finfo(float).eps ** 2, probs, 0.0)
             i = np.arange(len(probs))
             rises = np.cumsum(np.concatenate(([0], p[1:] > p[:-1])))
@@ -127,24 +196,22 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
             cut = int(np.argmax(fires))
             return col, {"cutoff": m % 2 + 2 * cut, "tail_eps": tail_eps,
                          "cumulative": float(cum[cut]), "window": window}
-        if rows >= 2 * cap_rows:
+        if len(col) >= cap_rows:
             raise NonConvergenceError(
                 f"photon distribution for m={m}, r={r} did not converge "
                 f"within the cutoff cap {hard_cap}")
-        rows *= 2
+        col = np.concatenate((col, _column(state, min(math.ceil(1.5 * len(col)), cap_rows),
+                                           len(col))))
 
 
 def fock_amplitude(n, state: SqueezedNumberState):
     """<n | m, r>, real; vectorized over integer n.
 
-    Read from the b^dagger b eigenvector of the parity block (see
-    :func:`photon_distribution`), sized to the state's photon cutoff and to
-    twice the largest n requested, so every row read lies in the block's
-    converged lower half.  Within the block of :func:`photon_distribution`
-    at its defaults the squares are its probabilities bit for bit; a larger n
-    reads every row from a larger block, where they move in their last
-    digits (<800|40,2> by 2.8e-14 when n runs to 5459).  Mixed parity gives
-    an exact 0.0 and r = 0 the Kronecker delta.  Raises
+    Read from the column of :func:`photon_distribution`, extended past its
+    last block where n asks for more rows.  Every row is computed on its own
+    (see :func:`_column`), so the squares are the table's probabilities bit
+    for bit, and a row reads the same whatever else is requested.  Mixed
+    parity gives an exact 0.0 and r = 0 the Kronecker delta.  Raises
     :class:`NonConvergenceError` where :func:`photon_distribution` does at
     its defaults.
     """
@@ -153,9 +220,9 @@ def fock_amplitude(n, state: SqueezedNumberState):
         raise ValueError("photon index must be nonnegative")
     parity = state.m % 2
     col = _photon_column(state, TAIL_EPS, HARD_CAP)[0]
-    rows = 2 * ((int(n.max(initial=0)) - parity) // 2 + 1)
+    rows = (int(n.max(initial=0)) - parity) // 2 + 1
     if rows > len(col):
-        col = _column(state, rows)
+        col = np.concatenate((col, _column(state, rows, len(col))))
     same = (n - parity) % 2 == 0
     amps = np.where(same, col[np.where(same, n - parity, 0) // 2], 0.0)
     return amps if n.ndim else float(amps)
@@ -165,21 +232,20 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
                         hard_cap: int = HARD_CAP) -> DistributionTable:
     """Photon-number probabilities P_n = |<n|m,r>|^2 up to an adaptive cutoff.
 
-    The amplitudes of one parity are the eigenvector of b^dagger b with
-    eigenvalue m, computed on a block of that parity that doubles until,
-    within its lower half, the accumulated probability reaches
-    1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity probabilities
-    are nonincreasing, those below eps^2 taken as zero; the cutoff N is the
-    first row where both hold.  The second condition keeps the truncation
+    The amplitudes of one parity (see :func:`_column`) are computed in
+    growing blocks until, for the first time, the accumulated probability
+    reaches 1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity
+    probabilities are nonincreasing, those below eps^2 taken as zero; the
+    cutoff N is that row.  The second condition keeps the truncation
     from stopping inside a trough of the oscillating distribution.  At
     r = 0 the cutoff is m.  Rows of the opposite parity are kept as
     explicit zeros so the table plots with the true comb structure.
 
     ``tail_eps`` must lie in [1e-14, 1): a normalized float64 column cannot
-    resolve a smaller tail.  A probability below eps^2 ~ 4.9e-32 carries an
-    absolute error of that size and no correct digit (3.4e-94 against the
-    exact 2.1e-99 at n = 14 for m = 0, r = 1e-7).  Raises
-    :class:`NonConvergenceError` if the cutoff would exceed ``hard_cap``.
+    resolve a smaller tail.  Each amplitude keeps its relative accuracy
+    however small it is: P_14 = 2.095e-99 for m = 0, r = 1e-7, the closed
+    form's value.  Raises :class:`NonConvergenceError` if the cutoff would
+    exceed ``hard_cap``.
     """
     parity = state.m % 2
     col, truncation = _photon_column(state, tail_eps, hard_cap)

@@ -99,24 +99,24 @@ def suite_oracle(max_m: int = 12) -> list[dict]:
         rows = np.arange(fock_oracle.default_dim(max_m, r) // 2)
         cols = fock_oracle.oracle_amplitude(rows[:, None], ns, r)
         oracle = cols[:ns.size]
-        eigen = np.column_stack([fock_amplitude(ns, st) for st in states])
+        jacobi = np.column_stack([fock_amplitude(ns, st) for st in states])
         series = np.array([[genfun.extract_amplitude("fock", n, st).real for st in states]
                            for n in ns])
-        worst_co = max(worst_co, float(np.abs(eigen - oracle).max()))
+        worst_co = max(worst_co, float(np.abs(jacobi - oracle).max()))
         worst_go = max(worst_go, float(np.abs(series - oracle).max()))
-        worst_cg = max(worst_cg, float(np.abs(eigen - series).max()))
+        worst_cg = max(worst_cg, float(np.abs(jacobi - series).max()))
         worst_orth = max(worst_orth, float(np.abs(cols.T @ cols - np.eye(ns.size)).max()))
-    checks.append(_check("eigenvector vs oracle column", worst_co, 1e-8))
+    checks.append(_check("Jacobi recurrence vs oracle column", worst_co, 1e-8))
     checks.append(_check("series extraction vs oracle column", worst_go, 1e-8))
-    checks.append(_check("eigenvector vs series extraction", worst_cg, 1e-8))
+    checks.append(_check("Jacobi recurrence vs series extraction", worst_cg, 1e-8))
     checks.append(_check("oracle columns are orthonormal", worst_orth, 1e-10))
 
     worst = 0.0
     for m, r in ((60, 1.0), (100, 0.5), (40, 2.0)):
         n = np.arange(fock_oracle.default_dim(m, r) // 2)
-        eigen = fock_amplitude(n, SqueezedNumberState(m, r))
-        worst = max(worst, float(np.abs(eigen - fock_oracle.oracle_amplitude(n, m, r)).max()))
-    checks.append(_check("eigenvector vs oracle column at (60, 1), (100, 0.5), (40, 2)",
+        jacobi = fock_amplitude(n, SqueezedNumberState(m, r))
+        worst = max(worst, float(np.abs(jacobi - fock_oracle.oracle_amplitude(n, m, r)).max()))
+    checks.append(_check("Jacobi recurrence vs oracle column at (60, 1), (100, 0.5), (40, 2)",
                          worst, 1e-12))
 
     for r, dim in ((0.8, 200), (1.4, 600)):

@@ -276,6 +276,23 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_photon_commands_load_no_scipy(tmp_path):
+    # the photon amplitudes come from a numpy recurrence, so neither the
+    # photon table nor its maxima pay for importing scipy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; from squeezelab import cli; "
+            "cli.main(['photon', '--m', '7', '--r', '1.4', '--out', sys.argv[1]]); "
+            "cli.main(['maxima', '--representation', 'photon', '--m', '7', '--r', '1.4', "
+            "'--format', 'json']); "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "photon.csv")],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert (tmp_path / "photon.csv").stat().st_size > 0
+    assert '"count": 4' in done.stdout
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parity")
     assert code == 0
