@@ -4,8 +4,9 @@ Every representation (photon number, position, momentum, Husimi Q) is
 available through three mutually independent routes: closed forms (a
 Jacobi recurrence in the state index for photon amplitudes, one Hermite
 recurrence for the rest), Taylor-coefficient extraction from
-squeezed-coherent generating functions, and a truncated-basis
-matrix-exponential oracle.
+squeezed-coherent generating functions, and a truncated-basis oracle
+that applies the squeeze operator by a Chebyshev expansion of its
+exponential.  numpy is the only runtime dependency.
 The analysis layer quantifies the oscillation structure those
 distributions share, and a semiclassical area-of-overlap model
 reproduces it on the Husimi slice.

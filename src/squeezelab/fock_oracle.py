@@ -9,9 +9,9 @@ all three routes is the library's main correctness argument.
 
 A column whose squeezed image (reach ~ e^{2r}) meets the edge of any
 stage's basis raises instead of returning silently wrong numbers.  One
-generator per parity block feeds the columns, the ladder residual and the
-dense S (by scipy's ``expm``, a second algorithm), which serves only the
-whole-operator checks.
+generator per parity block and one propagator feed the columns, the
+ladder residual and the dense S of the whole-operator checks; numpy is
+all it needs.
 """
 
 from __future__ import annotations
@@ -142,24 +142,22 @@ def _squeeze_columns(r: float, s: np.ndarray, parity: np.ndarray) -> None:
 
 
 def build_squeeze(r: float, dim: int) -> FockMatrix:
-    """Squeeze unitary on the truncated basis, S = expm((r/2)(a^2 - a^dag^2)).
+    """Squeeze unitary on the truncated basis, S = exp((r/2)(a^2 - a^dag^2)).
 
-    Each parity block is the scipy scaling-and-squaring exponential of
-    :func:`_generator`; the generator is real antisymmetric, so S is
-    orthogonal up to roundoff.
+    The propagator of the columns applied to every unit vector at once, in
+    one stage on the dim basis; the generator is real antisymmetric, so S
+    is orthogonal up to roundoff.  Its trusted block (:func:`trusted_dim`)
+    holds two rows from dim = ceil(4 e^{2|r|}) on.
     """
-    from scipy.linalg import expm
     if dim < 2:
         raise ValueError("basis dimension must be at least 2")
     trusted = trusted_dim(dim, r)
     if trusted < 2:
         raise TrustRegionError(
             f"dim={dim} leaves no trusted block at r={r}; "
-            f"need dim >= {math.ceil(5.0 * math.exp(2.0 * abs(r)))}")
-    entries = np.zeros((dim, dim))
-    for p in (0, 1):
-        g = _generator(r, dim, p)
-        entries[p::2, p::2] = expm(np.diag(g, 1) - np.diag(g, -1))
+            f"need dim >= {math.ceil(4.0 * math.exp(2.0 * abs(r)))}")
+    entries = np.eye(dim)
+    _squeeze_columns(r, entries, np.arange(dim) % 2)
     return FockMatrix(dim=dim, entries=entries, trusted=trusted)
 
 

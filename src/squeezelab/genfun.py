@@ -155,9 +155,10 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
     return complex(math.exp(0.5 * log_factorial(m)) * kern[m] * pref)
 
 
-def extract_element(n: int, m: int, r: float,
+def extract_element(n: int, m: int,
                     op_kernel: Callable[[int, int], np.ndarray]) -> complex:
-    """<n, r| R |m, r> from a doubly-cancelled operator kernel.
+    """<n, r| R |m, r> from a doubly-cancelled operator kernel, which
+    carries its own r.
 
     op_kernel(order_a, order_b) must return the 2-d series of
     e^{|alpha|^2/2} e^{|beta|^2/2} <alpha, r| R |beta, r> in conj(alpha)

@@ -26,7 +26,6 @@ __all__ = [
     "position_wf_scs",
     "momentum_wf_scs",
     "position_variance",
-    "momentum_variance",
     "wave_packet_center",
 ]
 
@@ -55,11 +54,6 @@ def _real_displacement(beta) -> float:
 def position_variance(r: float) -> float:
     """Var q of any |beta, r>: e^{-2r}/2."""
     return 0.5 * math.exp(-2.0 * r)
-
-
-def momentum_variance(r: float) -> float:
-    """Var p of any |beta, r>: e^{2r}/2."""
-    return 0.5 * math.exp(2.0 * r)
 
 
 def wave_packet_center(beta: float, r: float) -> float:

@@ -157,9 +157,9 @@ def suite_genfun(max_m: int = 12) -> list[dict]:
     worst_id = worst_nb = 0.0
     for n in range(9):
         for m in range(9):
-            elem = genfun.extract_element(n, m, 0.8, genfun.identity_kernel())
+            elem = genfun.extract_element(n, m, genfun.identity_kernel())
             worst_id = max(worst_id, abs(elem - (1.0 if n == m else 0.0)))
-            elem = genfun.extract_element(n, m, 0.8, genfun.transformed_number_kernel())
+            elem = genfun.extract_element(n, m, genfun.transformed_number_kernel())
             worst_nb = max(worst_nb, abs(elem - (m if n == m else 0.0)))
     checks.append(_check("identity kernel gives Kronecker delta", worst_id, 1e-10))
     checks.append(_check("squeezed number kernel gives m delta", worst_nb, 1e-10))
@@ -167,7 +167,7 @@ def suite_genfun(max_m: int = 12) -> list[dict]:
     r = 0.8
     num = np.arange(fock_oracle.default_dim(8, r))
     s = fock_oracle.oracle_amplitude(num[:, None], np.arange(9), r, 2 * len(num))
-    elem = np.array([[genfun.extract_element(n, m, r, genfun.photon_number_kernel(r))
+    elem = np.array([[genfun.extract_element(n, m, genfun.photon_number_kernel(r))
                       for m in range(9)] for n in range(9)])
     worst = float(np.abs(elem - s.T @ (num[:, None] * s)).max())
     checks.append(_check("photon number kernel vs oracle sandwich", worst, 1e-8))

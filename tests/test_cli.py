@@ -293,6 +293,35 @@ def test_photon_commands_load_no_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_readme_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing, as
+    # in an install without it, the seven README commands and the dense
+    # squeeze operator still run
+    src = str(Path(cli.__file__).resolve().parents[1])
+    commands = [
+        ["photon", "--m", "7", "--r", "1.4", "--out", "photon.csv"],
+        ["quad", "--kind", "momentum", "--m", "7", "--r", "1.4", "--points", "4001",
+         "--out", "mom.csv"],
+        ["qfunc", "--m", "7", "--r", "1.4", "--n-re", "161", "--n-im", "321",
+         "--out", "q.csv"],
+        ["semiclassical", "--m", "7", "--r", "1.4", "--out", "wkb.csv"],
+        ["maxima", "--representation", "photon", "--m", "7", "--r", "1.4",
+         "--format", "json"],
+        ["transition", "--m", "7", "--r-lo", "0.1", "--r-hi", "1.6", "--step", "0.02"],
+        ["verify", "--suite", "all"],
+    ]
+    code = ("import json, sys; sys.modules['scipy'] = None; "
+            "from squeezelab import cli, fock_oracle; "
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(codes, fock_oracle.build_squeeze(0.8, 200).trusted)")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] 20"
+    for name in ("photon.csv", "mom.csv", "q.csv", "q_slice.csv", "wkb.csv"):
+        assert (tmp_path / name).stat().st_size > 0
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parity")
     assert code == 0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import squeezelab
 from squeezelab import fock_oracle as fo
@@ -17,6 +18,17 @@ from squeezelab.fock_oracle import (TrustRegionError, _bessel_j, bogoliubov_resi
                                     build_squeeze, default_dim, oracle_amplitude,
                                     trusted_dim)
 from squeezelab.squeezed_number import SqueezedNumberState, fock_amplitude
+
+
+def _expm_squeeze(r, dim):
+    """Dense S by scipy's scaling-and-squaring exponential of each parity
+    block of the oracle's generator: a second algorithm beside the
+    Chebyshev propagator that build_squeeze runs."""
+    entries = np.zeros((dim, dim))
+    for p in (0, 1):
+        g = fo._generator(r, dim, p)
+        entries[p::2, p::2] = expm(np.diag(g, 1) - np.diag(g, -1))
+    return entries
 
 
 def test_build_squeeze_identity_at_r_zero():
@@ -28,7 +40,19 @@ def test_build_squeeze_rejects_tiny_dim():
     with pytest.raises(ValueError):
         build_squeeze(0.5, 1)
     with pytest.raises(TrustRegionError):
-        build_squeeze(2.5, 64)  # e^{-2r}/3 leaves no trusted block
+        build_squeeze(2.5, 64)  # dim e^{-2|r|}/2 leaves no trusted block
+
+
+@pytest.mark.parametrize("r", [0.5, 1.4, 2.5, -2.5])
+def test_build_squeeze_names_least_dim(r):
+    # the trusted block holds two rows once dim e^{-2|r|}/2 >= 2, so the
+    # message names ceil(4 e^{2|r|}): 11, 66 and 594 here
+    with pytest.raises(TrustRegionError, match="need dim >= ") as exc:
+        build_squeeze(r, 4)
+    least = int(str(exc.value).rsplit(">= ", 1)[1])
+    assert build_squeeze(r, least).trusted == 2
+    with pytest.raises(TrustRegionError):
+        build_squeeze(r, least - 1)
 
 
 def test_vacuum_column_matches_squeezed_vacuum_law():
@@ -52,14 +76,28 @@ def test_unitarity_on_trusted_block():
 
 @pytest.mark.parametrize("r,dim", [(0.8, 200), (1.4, 600)])
 def test_dense_squeeze_matches_oracle_columns(r, dim):
-    # the Chebyshev columns and the dense expm are two algorithms on the
-    # same per-parity generator, so a slip in how either builds or
-    # interleaves the parity blocks shows up here; the columns come from
-    # their default (larger) basis, since at dim itself the edge rule
-    # refuses the upper trusted columns
+    # one propagator on both sides: the dense S in one stage at dim, the
+    # columns staged on their default (larger) basis, since at dim itself
+    # the edge rule refuses the upper trusted columns; a slip in how
+    # either builds or interleaves the parity blocks shows up here, and
+    # test_dense_squeeze_matches_expm compares two algorithms
     s = build_squeeze(r, dim)
     cols = oracle_amplitude(np.arange(dim // 2)[:, None], np.arange(s.trusted), r)
     assert np.abs(s.entries[:dim // 2, :s.trusted] - cols).max() < 1e-13
+
+
+# every (r, dim) at which the tests build a dense S; measured 5.2e-15 on
+# the trusted block and 8.5e-13 over the whole matrix, where the
+# truncation edge makes both algorithms round differently
+@pytest.mark.parametrize("r,dim", [(0.0, 64), (0.8, 200), (-0.8, 200), (1.0, 256), (0.9, 300),
+                                   (1.4, 600), (0.8, 220), (-0.8, 220), (1.0, 220), (1.5, 220),
+                                   (0.8, 300), (1.5, 300), (1.1, 300), (0.4, 300),
+                                   (-1.2, 300)])
+def test_dense_squeeze_matches_expm(r, dim):
+    s = build_squeeze(r, dim)
+    diff = np.abs(s.entries - _expm_squeeze(r, dim))
+    assert diff[:s.trusted, :s.trusted].max() < 2e-14
+    assert diff.max() < 4e-12
 
 
 def test_oracle_amplitude_trivials():
@@ -90,11 +128,11 @@ def test_oracle_amplitude_independent_of_global_rng():
 
 
 def test_column_oracle_loads_no_scipy():
-    # the columns and the ladder residual are numpy only; scipy's expm
-    # serves build_squeeze alone
+    # the columns, the ladder residual and the dense S are numpy only
     src = str(Path(squeezelab.__file__).resolve().parents[1])
     code = ("import sys; from squeezelab import fock_oracle as fo; "
             "fo.oracle_amplitude(3, 7, 1.4); fo.bogoliubov_residual(0.8, 200); "
+            "fo.build_squeeze(0.8, 200); "
             "print([m for m in sys.modules if m.startswith('scipy')])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)

@@ -172,8 +172,8 @@ def test_extraction_is_linear_in_the_kernel():
         return k1(na, nb) + k2(na, nb)
 
     for n, m in ((0, 0), (2, 2), (3, 1)):
-        lhs = extract_element(n, m, 0.5, ksum)
-        rhs = extract_element(n, m, 0.5, k1) + extract_element(n, m, 0.5, k2)
+        lhs = extract_element(n, m, ksum)
+        rhs = extract_element(n, m, k1) + extract_element(n, m, k2)
         assert lhs == rhs  # exact: same floating operations, summed coefficients
 
 
@@ -182,14 +182,14 @@ def test_extraction_is_linear_in_the_kernel():
 def test_extract_element_identity_is_orthonormality():
     for n in range(7):
         for m in range(7):
-            got = extract_element(n, m, 1.1, identity_kernel())
+            got = extract_element(n, m, identity_kernel())
             assert got == pytest.approx(1.0 if n == m else 0.0, abs=1e-12)
 
 
 def test_extract_element_transformed_number_operator():
     for n in range(7):
         for m in range(7):
-            got = extract_element(n, m, 0.8, transformed_number_kernel())
+            got = extract_element(n, m, transformed_number_kernel())
             assert got == pytest.approx(float(m) if n == m else 0.0, abs=1e-12)
 
 
@@ -201,7 +201,7 @@ def test_extract_element_photon_number_vs_oracle():
     worst = 0.0
     for n in range(9):
         for m in range(9):
-            got = extract_element(n, m, r, photon_number_kernel(r))
+            got = extract_element(n, m, photon_number_kernel(r))
             worst = max(worst, abs(got - sandwich[n, m]))
     assert worst < 1e-8
 
@@ -212,7 +212,7 @@ def test_extract_element_photon_number_analytic():
     sh, ch = math.sinh(r), math.cosh(r)
     for n in range(7):
         for m in range(7):
-            got = extract_element(n, m, r, photon_number_kernel(r))
+            got = extract_element(n, m, photon_number_kernel(r))
             if n == m:
                 want = ch * ch * m + sh * sh * (m + 1)
             elif n == m + 2:
