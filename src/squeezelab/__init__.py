@@ -26,8 +26,8 @@ from .genfun import (exp_series, extract_amplitude, extract_element,
                      identity_kernel, photon_number_kernel, series, series_mul,
                      transformed_number_kernel)
 from .semiclassical import (ClassicallyForbiddenError, OverlapComparison,
-                            OverlapParams, approx_p, area_weight,
-                            classical_boundary, fit_scale, interference_phase,
+                            approx_p, area_weight, classical_boundary,
+                            classical_depth, fit_scale, interference_phase,
                             overlap_comparison)
 from .special import hermite, hermite_reduction_check, log_factorial
 from .squeezed_coherent import (fock_amplitude_scs, momentum_wf_scs,
@@ -42,11 +42,11 @@ __all__ = [
     "__version__",
     "ClassicallyForbiddenError", "CorrespondenceRow",
     "DistributionTable", "FockMatrix", "GridSpec", "MaximaReport",
-    "NonConvergenceError", "OverlapComparison", "OverlapParams", "ScanError",
+    "NonConvergenceError", "OverlapComparison", "ScanError",
     "SliceRatioReport", "SqueezedNumberState", "TableMeta",
     "TransitionResult", "TrustRegionError",
     "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
-    "classical_boundary", "coherent_amplitude", "default_dim",
+    "classical_boundary", "classical_depth", "coherent_amplitude", "default_dim",
     "exp_series", "extract_amplitude", "extract_element", "find_maxima",
     "fit_scale", "fock_amplitude", "fock_amplitude_scs", "hermite",
     "hermite_reduction_check", "identity_kernel", "interference_phase",

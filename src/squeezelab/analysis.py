@@ -58,22 +58,26 @@ def find_maxima(table: DistributionTable, floor: float = DEFAULT_FLOOR,
     Plateaus of exactly equal values count once, at their left edge.  For
     parity-gapped photon tables the comparison runs over same-parity
     neighbors only (otherwise every nonzero entry would be a "maximum"
-    between two structural zeros), and a virtual zero is prepended below
-    the lowest realized index, since probabilities below n = 0 vanish;
-    that is what makes a peak at the first occupied index count.  With
-    ``refine`` set, positions of single-point maxima on uniform grids are
-    polished by a three-point parabolic fit.
+    between two structural zeros), and a virtual zero stands on each side
+    of the same-parity rows: probabilities below n = 0 vanish, and the
+    table ends where the tail is negligible.  So a peak at the first or
+    last occupied index counts, and one row is enough.  Other tables need
+    three rows.  With ``refine`` set, positions of single-point maxima on
+    uniform grids are polished by a three-point parabolic fit.  Raises
+    ``ValueError`` unless ``floor >= 0``.
     """
-    if floor < 0:
-        raise ValueError("floor must be nonnegative")
-    if len(table) < 3:
-        raise ValueError("need at least 3 table rows to detect maxima")
+    if not floor >= 0:
+        raise ValueError(f"floor must be nonnegative, got {floor}")
+    parity = table.meta.parity is not None
+    need = 1 if parity else 3
+    if len(table) < need:
+        raise ValueError(f"need at least {need} table rows to detect maxima")
     xs, vals = table.coords, table.probs
-    if table.meta.parity is not None:
+    if parity:
         sel = np.asarray(xs).astype(int) % 2 == table.meta.parity
-        xs, vals = xs[sel], np.concatenate([[0.0], vals[sel]])
+        xs, vals = xs[sel], np.concatenate([[0.0], vals[sel], [0.0]])
     # each run of equal values stands at its left edge; the first and last
-    # runs touch the ends (or the virtual zero), so only interior runs count
+    # runs touch the ends (or the virtual zeros), so only interior runs count
     starts = np.flatnonzero(np.concatenate([[True], vals[1:] != vals[:-1]]))
     run = vals[starts]
     peak = ((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])
@@ -81,13 +85,13 @@ def find_maxima(table: DistributionTable, floor: float = DEFAULT_FLOOR,
     i = starts[1:-1][peak]
     if not i.size:
         return MaximaReport(np.asarray([]), np.asarray([]), 0)
-    k = i - (len(vals) - len(xs))  # table row of vals[i]
+    k = i - 1 if parity else i  # table row of vals[i]
     positions, values = xs[k], vals[i]
     if refine:
         a, b, c = vals[i - 1], values, vals[i + 1]
         denom = a - 2.0 * b + c
-        # single points only, and not the first row beside the virtual zero
-        fit = (starts[2:][peak] == i + 1) & (k > 0) & (denom != 0.0)
+        # single points only, and not the end rows beside the virtual zeros
+        fit = (starts[2:][peak] == i + 1) & (k > 0) & (k < len(xs) - 1) & (denom != 0.0)
         if fit.any():
             shift = (a - c)[fit] / (2.0 * denom[fit])
             positions = positions.astype(np.result_type(positions, float))
@@ -197,6 +201,8 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
         raise ValueError("transition scan needs m >= 2")
     if not (r_lo < r_hi and step > 0):
         raise ValueError("need r_lo < r_hi and a positive step")
+    if not prominence >= 0:
+        raise ValueError(f"prominence must be nonnegative, got {prominence}")
     target = m + 1
     # the 1e-9 keeps r_hi on the grid when (r_hi - r_lo) / step lands just below
     # an integer, as (0.7 - 0.1) / 0.1 = 5.999999999999999 does

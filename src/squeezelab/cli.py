@@ -16,12 +16,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, analysis, verify
-from .semiclassical import OverlapParams, approx_p, classical_boundary, fit_scale
+from .semiclassical import approx_p, classical_boundary, classical_depth, fit_scale
 from .squeezed_coherent import check_squeeze
 from .squeezed_number import (TAIL_EPS, NonConvergenceError, SqueezedNumberState,
                               momentum_wf, photon_distribution, position_wf,
@@ -38,17 +38,6 @@ SAMPLED_TABLES = {"position": analysis.position_density_table,
                   "qslice": analysis.q_slice_table}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one command invocation, serialized into every output header."""
-
-    command: str
-    params: dict
-
-    def as_json(self) -> str:
-        return json.dumps({"command": self.command, **self.params}, sort_keys=True)
-
-
 def _emit(text: str, out: str | None):
     """Write ``text`` to the file ``out``, or to stdout when it is None."""
     if out is None:
@@ -58,10 +47,11 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
-def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
+def _write_table(config: dict, columns: dict, fmt: str, out: str | None,
                  extra_header: dict | None = None):
     """Emit named columns of equal length as CSV (with # header comments)
-    or JSON v1.
+    or JSON v1, echoing ``config`` ({"command": ..., **params}) into the
+    header.
 
     Integer and boolean columns print as integers, float columns with 17
     significant digits (full double round-trip).  The CSV branch formats
@@ -74,7 +64,7 @@ def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
     is_int = [c.dtype.kind in "biu" for c in cols]
     if fmt == "csv":
         lines = [f"# squeezelab {__version__} schema v1",
-                 f"# config {config.as_json()}"]
+                 f"# config {json.dumps(config, sort_keys=True)}"]
         if extra_header:
             lines.append(f"# {json.dumps(extra_header, sort_keys=True)}")
         lines.append(",".join(columns))
@@ -90,7 +80,7 @@ def _write_table(config: RunConfig, columns: dict, fmt: str, out: str | None,
         payload = {
             "schema": "v1",
             "generator": f"squeezelab {__version__}",
-            "config": {"command": config.command, **config.params},
+            "config": config,
             "columns": list(columns),
             "rows": rows.tolist(),
         }
@@ -119,15 +109,16 @@ def _phase_space_state(args) -> SqueezedNumberState:
     """The state of a command built on the wave functions or the Husimi
     kernel, checked for their |r| bound before any e^{+-r} extent is taken
     (photon tables have a cutoff rule of their own)."""
-    check_squeeze(args.r)
-    return SqueezedNumberState(args.m, args.r)
+    state = SqueezedNumberState(args.m, args.r)
+    check_squeeze(state.r)
+    return state
 
 
 def cmd_photon(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
     table = photon_distribution(state, args.tail_eps)
-    config = RunConfig("photon", {"m": args.m, "r": args.r, "tail_eps": args.tail_eps,
-                                  "format": args.format})
+    config = {"command": "photon", "m": args.m, "r": args.r, "tail_eps": args.tail_eps,
+              "format": args.format}
     _write_table(config, {"n": table.coords, "probability": table.probs},
                  args.format, args.out, extra_header=dict(table.meta.truncation))
     return EXIT_OK
@@ -144,9 +135,9 @@ def cmd_quad(args) -> int:
     coords = np.linspace(lo, hi, args.points)
     wf = momentum_wf if args.kind == "momentum" else position_wf
     amps = np.asarray(wf(coords, state), dtype=complex)
-    config = RunConfig("quad", {"kind": args.kind, "m": args.m, "r": args.r,
-                                "min": lo, "max": hi, "points": args.points,
-                                "amplitude": bool(args.amplitude), "format": args.format})
+    config = {"command": "quad", "kind": args.kind, "m": args.m, "r": args.r,
+              "min": lo, "max": hi, "points": args.points,
+              "amplitude": bool(args.amplitude), "format": args.format}
     columns = {"coord": coords, "prob": amps.real ** 2 + amps.imag ** 2}
     if args.amplitude:
         columns.update(re=amps.real, im=amps.imag)
@@ -164,8 +155,8 @@ def cmd_qfunc(args) -> int:
     grid = GridSpec(*bounds, args.n_re, args.n_im)
     values = q_grid(state, grid)
     re, im = grid.axes()
-    config = RunConfig("qfunc", {"m": args.m, "r": args.r, **asdict(grid),
-                                 "format": args.format})
+    config = {"command": "qfunc", "m": args.m, "r": args.r, **asdict(grid),
+              "format": args.format}
     columns = {"re": np.tile(re, grid.n_im), "im": np.repeat(im, grid.n_re),
                "Q": values.ravel()}
     _write_table(config, columns, args.format, args.out,
@@ -175,11 +166,9 @@ def cmd_qfunc(args) -> int:
     if slice_out is None and args.out is not None:
         slice_out = _slice_companion_path(args.out)
     if slice_out is not None:
-        slice_config = RunConfig("qfunc-slice", {"m": args.m, "r": args.r,
-                                                 "im_min": grid.im_min,
-                                                 "im_max": grid.im_max,
-                                                 "n_im": grid.n_im,
-                                                 "format": args.format})
+        slice_config = {"command": "qfunc-slice", "m": args.m, "r": args.r,
+                        "im_min": grid.im_min, "im_max": grid.im_max,
+                        "n_im": grid.n_im, "format": args.format}
         _write_table(slice_config, {"im": im, "Q": q_slice_imag(im, state)},
                      args.format, slice_out)
     return EXIT_OK
@@ -193,20 +182,19 @@ def cmd_semiclassical(args) -> int:
     ys = np.linspace(y_lo, y_hi, args.points)
     exact = q_slice_imag(ys, state)
     approx = np.full(len(ys), math.nan)
-    valid = OverlapParams(state.m, state.r, ys).depth() > 0.0
+    valid = classical_depth(state.m, state.r, ys) > 0.0
     if not valid.any():
         sys.stderr.write("warning: no point of the range lies inside the "
                          "classical boundary; every row is flagged invalid\n")
         scale = math.nan
     else:
-        approx[valid] = approx_p(OverlapParams(state.m, state.r, ys[valid]))
+        approx[valid] = approx_p(state.m, state.r, ys[valid])
         mask = valid & (ys < 0.8 * bound)
         if not mask.any():
             mask = valid
         scale = fit_scale(approx[mask], exact[mask])
-    config = RunConfig("semiclassical", {"m": args.m, "r": args.r, "y_min": y_lo,
-                                         "y_max": y_hi, "points": args.points,
-                                         "format": args.format})
+    config = {"command": "semiclassical", "m": args.m, "r": args.r, "y_min": y_lo,
+              "y_max": y_hi, "points": args.points, "format": args.format}
     _write_table(config, {"y": ys, "approx": approx, "exact_slice": exact,
                           "valid": valid}, args.format, args.out,
                  extra_header={"classical_boundary": bound, "fitted_scale": scale})
@@ -218,8 +206,8 @@ def cmd_maxima(args) -> int:
     table = (photon_distribution(SqueezedNumberState(args.m, args.r), args.tail_eps)
              if rep == "photon" else SAMPLED_TABLES[rep](_phase_space_state(args)))
     report = analysis.find_maxima(table, floor=args.floor, refine=rep != "photon")
-    config = RunConfig("maxima", {"representation": rep, "m": args.m, "r": args.r,
-                                  "floor": args.floor, "format": args.format})
+    config = {"command": "maxima", "representation": rep, "m": args.m, "r": args.r,
+              "floor": args.floor, "format": args.format}
     _write_table(config, {"position": report.positions, "value": report.values},
                  args.format, args.out,
                  extra_header={"count": report.count})
@@ -229,10 +217,9 @@ def cmd_maxima(args) -> int:
 def cmd_transition(args) -> int:
     result = analysis.transition_scan(args.m, args.r_lo, args.r_hi, args.step,
                                       prominence=args.prominence)
-    config = RunConfig("transition", {"m": args.m, "r_lo": args.r_lo,
-                                      "r_hi": args.r_hi, "step": args.step,
-                                      "prominence": args.prominence,
-                                      "format": args.format})
+    config = {"command": "transition", "m": args.m, "r_lo": args.r_lo,
+              "r_hi": args.r_hi, "step": args.step, "prominence": args.prominence,
+              "format": args.format}
     rs, counts = zip(*result.trace)
     _write_table(config, {"r": rs, "prominent_maxima": counts}, args.format, args.out,
                  extra_header={"r_star": result.r_star, "target": result.target})
@@ -240,7 +227,7 @@ def cmd_transition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_suites([args.suite], max_m=args.max_m)
+    report = verify.run_suites([args.suite])
     _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
@@ -314,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run self-verification suites")
     p.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
-    p.add_argument("--max-m", type=int, default=None, dest="max_m")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -170,30 +170,24 @@ def extract_element(n: int, m: int,
     return complex(math.exp(0.5 * (log_factorial(n) + log_factorial(m))) * kern[n, m])
 
 
-def _cross_exp(order_a: int, order_b: int) -> np.ndarray:
-    """exp(conj(alpha) beta), the kernel every ladder operator multiplies."""
+def identity_kernel(order_a: int, order_b: int) -> np.ndarray:
+    """Kernel of the identity operator: exp(conj(alpha) beta).
+
+    The squeeze cancels between bra and ket, so this is r-independent,
+    every ladder kernel multiplies it, and extraction reproduces the
+    orthonormality of the squeezed number basis.
+    """
     return exp_series(series({(1, 1): 1.0}, (order_a + 1, order_b + 1)))
 
 
-def identity_kernel() -> Callable[[int, int], np.ndarray]:
-    """Kernel of the identity operator: exp(conj(alpha) beta).
-
-    The squeeze cancels between bra and ket, so this is r-independent and
-    extraction reproduces the orthonormality of the squeezed number basis.
-    """
-    return _cross_exp
-
-
-def transformed_number_kernel() -> Callable[[int, int], np.ndarray]:
+def transformed_number_kernel(order_a: int, order_b: int) -> np.ndarray:
     """Kernel of the squeezed-basis number operator b^dag b.
 
     Both ladder factors act on their own eigenstate, leaving
     conj(alpha) beta exp(conj(alpha) beta).
     """
-    def build(order_a: int, order_b: int) -> np.ndarray:
-        shape = (order_a + 1, order_b + 1)
-        return series_mul(series({(1, 1): 1.0}, shape), _cross_exp(order_a, order_b))
-    return build
+    shape = (order_a + 1, order_b + 1)
+    return series_mul(series({(1, 1): 1.0}, shape), identity_kernel(order_a, order_b))
 
 
 def photon_number_kernel(r: float) -> Callable[[int, int], np.ndarray]:
@@ -213,5 +207,5 @@ def photon_number_kernel(r: float) -> Callable[[int, int], np.ndarray]:
         poly = series({(1, 1): ch * ch + sh * sh, (0, 0): sh * sh,
                        (0, 2): -sh * ch, (2, 0): -sh * ch},
                       (order_a + 1, order_b + 1))
-        return series_mul(poly, _cross_exp(order_a, order_b))
+        return series_mul(poly, identity_kernel(order_a, order_b))
     return build

@@ -26,9 +26,9 @@ from .squeezed_number import SqueezedNumberState, q_slice_imag
 from .tables import DistributionTable
 
 __all__ = [
-    "OverlapParams",
     "ClassicallyForbiddenError",
     "classical_boundary",
+    "classical_depth",
     "area_weight",
     "interference_phase",
     "approx_p",
@@ -42,22 +42,12 @@ class ClassicallyForbiddenError(ValueError):
     """The slice point lies outside the region where the construction exists."""
 
 
-@dataclass(frozen=True)
-class OverlapParams:
-    """Slice points of the approximation: state label (m, r) and y with
-    alpha = i y, one number or an array of them."""
-
-    m: int
-    r: float
-    y: float | np.ndarray
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("photon index must be nonnegative")
-
-    def depth(self):
-        """m + 1/2 - y^2 e^{-2r}; positive inside the classical region."""
-        return self.m + 0.5 - self.y * self.y * math.exp(-2.0 * self.r)
+def classical_depth(m: int, r: float, y):
+    """m + 1/2 - y^2 e^{-2r} at alpha = i y (one number or an array of
+    them); positive inside the classical region."""
+    if m < 0:
+        raise ValueError("photon index must be nonnegative")
+    return m + 0.5 - y * y * math.exp(-2.0 * r)
 
 
 def classical_boundary(m: int, r: float) -> float:
@@ -65,25 +55,25 @@ def classical_boundary(m: int, r: float) -> float:
     return math.exp(r) * math.sqrt(m + 0.5)
 
 
-def _require_valid(p: OverlapParams):
-    d = p.depth()
+def _require_valid(m: int, r: float, y):
+    d = classical_depth(m, r, y)
     forbidden = d <= 0.0
     if np.any(forbidden):
-        y = float(np.asarray(p.y)[forbidden][0])
+        bad = float(np.asarray(y)[forbidden][0])
         raise ClassicallyForbiddenError(
-            f"y={y} is classically forbidden for m={p.m}, r={p.r}; "
+            f"y={bad} is classically forbidden for m={m}, r={r}; "
             "the area-of-overlap approximation does not exist there")
     return d
 
 
-def area_weight(p: OverlapParams):
+def area_weight(m: int, r: float, y):
     """Single-patch overlap weight A = e^{-2 d / e^{2r}} / sqrt(2 pi d),
-    with d = m + 1/2 - y^2/e^{2r}."""
-    d = _require_valid(p)
-    return np.exp(-2.0 * d * math.exp(-2.0 * p.r)) / np.sqrt(2.0 * math.pi * d)
+    with d = m + 1/2 - y^2/e^{2r}, at alpha = i y (one number or an array)."""
+    d = _require_valid(m, r, y)
+    return np.exp(-2.0 * d * math.exp(-2.0 * r)) / np.sqrt(2.0 * math.pi * d)
 
 
-def interference_phase(p: OverlapParams):
+def interference_phase(m: int, r: float, y):
     """Relative phase of the two overlap patches.
 
     phi = (m + 1/2) arctan(sqrt(d)/|yt|) - |yt| sqrt(d) - pi/4 with
@@ -91,18 +81,18 @@ def interference_phase(p: OverlapParams):
     gives phi = (m + 1/2) pi/2 - pi/4; at the boundary both non-constant
     terms vanish and phi -> -pi/4.
     """
-    d = _require_valid(p)
-    yt = np.abs(p.y) * math.exp(-p.r)
-    return (p.m + 0.5) * np.arctan2(np.sqrt(d), yt) - yt * np.sqrt(d) - math.pi / 4.0
+    d = _require_valid(m, r, y)
+    yt = np.abs(y) * math.exp(-r)
+    return (m + 0.5) * np.arctan2(np.sqrt(d), yt) - yt * np.sqrt(d) - math.pi / 4.0
 
 
-def approx_p(p: OverlapParams):
+def approx_p(m: int, r: float, y):
     """Interfering-patches probability 4 A cos^2(phi), unnormalized.
 
     Shapes are meaningful, absolute scale is not; comparisons against the
     exact slice fit one global scale factor first (:func:`fit_scale`).
     """
-    return 4.0 * area_weight(p) * np.cos(interference_phase(p)) ** 2
+    return 4.0 * area_weight(m, r, y) * np.cos(interference_phase(m, r, y)) ** 2
 
 
 def fit_scale(approx: np.ndarray, exact: np.ndarray) -> float:
@@ -137,7 +127,7 @@ def overlap_comparison(m: int, r: float) -> OverlapComparison:
     """
     bound = classical_boundary(m, r)
     y = np.linspace(0.0, bound, 4002)[1:-1]
-    approx = approx_p(OverlapParams(m, r, y))
+    approx = approx_p(m, r, y)
     exact = q_slice_imag(y, SqueezedNumberState(m, r))
     interior = y < 0.8 * bound
     scale = fit_scale(approx[interior], exact[interior])

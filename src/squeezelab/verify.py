@@ -1,10 +1,11 @@
 """Self-verification suites behind ``squeezelab verify``.
 
-Each suite runs the cross-route and invariant checks of one area at desk
-scale and reports machine-readable results.  Everything is deterministic:
-the random samples here use a fixed seed and the oracle draws no random
-numbers, so repeated runs produce identical bytes.  Masses and variances
-use exact Gauss-Hermite quadrature, and the Fourier pairs the same nodes.
+Each suite runs the cross-route and invariant checks of one area on a
+fixed set of desk-scale states and reports machine-readable results.
+Everything is deterministic: the random samples here use a fixed seed and
+the oracle draws no random numbers, so repeated runs produce identical
+bytes.  Masses and variances use exact Gauss-Hermite quadrature, and the
+Fourier pairs the same nodes.
 """
 
 from __future__ import annotations
@@ -25,25 +26,20 @@ ORACLE_R_SET = (0.3, 0.973, 1.4)
 NORMALIZATION_R_SET = (0.0, 0.5, 1.4, -0.8)
 
 
-def _check(name: str, measured: float, limit: float, passed=None) -> dict:
-    if passed is None:
-        passed = bool(measured <= limit)
+def _check(name: str, measured: float, limit: float) -> dict:
     return {"name": name, "measured": float(measured), "limit": float(limit),
-            "passed": bool(passed)}
+            "passed": bool(measured <= limit)}
 
 
-def suite_parity(max_m: int = 12) -> list[dict]:
-    worst = 0.0
-    exact = True
-    ns = np.arange(max_m + 1)
-    for m in range(max_m + 1):
-        a = fock_amplitude(ns, SqueezedNumberState(m, 0.8 + 0.05 * m))[(ns + m) % 2 == 1]
-        exact = exact and bool(np.all(a == 0.0))
-        worst = max(worst, float(np.abs(a).max(initial=0.0)))
-    table = photon_distribution(SqueezedNumberState(5, 1.1))
-    off = table.probs[::2]  # m = 5 is odd, even rows are structural zeros
-    exact = exact and bool(np.all(off == 0.0))
-    return [_check("mixed-parity amplitudes are exactly zero", worst, 0.0, passed=exact)]
+def suite_parity() -> list[dict]:
+    # rows n of opposite parity to m are structural zeros: in the columns
+    # m <= 12 at r = 0.8 + 0.05 m and in the m = 5 photon table (even rows)
+    ns = np.arange(13)
+    off = [fock_amplitude(ns, SqueezedNumberState(m, 0.8 + 0.05 * m))[(ns + m) % 2 == 1]
+           for m in range(13)]
+    off.append(photon_distribution(SqueezedNumberState(5, 1.1)).probs[::2])
+    worst = float(np.abs(np.concatenate(off)).max())  # a NaN fails the check too
+    return [_check("mixed-parity amplitudes are exactly zero", worst, 0.0)]
 
 
 def _gauss_hermite(n: int):
@@ -54,11 +50,11 @@ def _gauss_hermite(n: int):
     return x, w * np.exp(x * x)
 
 
-def suite_normalization(max_m: int = 7) -> list[dict]:
+def suite_normalization() -> list[dict]:
     # Each density is a Gaussian times a polynomial of degree 2m, so the
     # Gauss-Hermite rule with m + 1 nodes per axis integrates it exactly.
     checks = []
-    states = [SqueezedNumberState(m, r) for m in (0, 1, min(7, max_m))
+    states = [SqueezedNumberState(m, r) for m in (0, 1, 7)
               for r in NORMALIZATION_R_SET]
     worst = max(abs(photon_distribution(st, 1e-12).probs.sum() - 1.0) for st in states)
     checks.append(_check("photon distributions sum to 1", worst, 1e-9))
@@ -90,13 +86,13 @@ def suite_normalization(max_m: int = 7) -> list[dict]:
     return checks
 
 
-def suite_oracle(max_m: int = 12) -> list[dict]:
+def suite_oracle() -> list[dict]:
     checks = []
-    ns = np.arange(max_m + 1)
+    ns = np.arange(13)
     worst_co = worst_go = worst_cg = worst_orth = 0.0
     for r in ORACLE_R_SET:
         states = [SqueezedNumberState(m, r) for m in ns]
-        rows = np.arange(fock_oracle.default_dim(max_m, r) // 2)
+        rows = np.arange(fock_oracle.default_dim(12, r) // 2)
         cols = fock_oracle.oracle_amplitude(rows[:, None], ns, r)
         oracle = cols[:ns.size]
         jacobi = np.column_stack([fock_amplitude(ns, st) for st in states])
@@ -125,11 +121,11 @@ def suite_oracle(max_m: int = 12) -> list[dict]:
     return checks
 
 
-def suite_genfun(max_m: int = 12) -> list[dict]:
+def suite_genfun() -> list[dict]:
     checks = []
     worst = 0.0
     for r in ORACLE_R_SET:
-        for m in range(max_m + 1):
+        for m in range(13):
             st = SqueezedNumberState(m, r)
             for q in (-1.1, 0.0, 0.45):
                 worst = max(worst, abs(genfun.extract_amplitude("position", q, st)
@@ -157,9 +153,9 @@ def suite_genfun(max_m: int = 12) -> list[dict]:
     worst_id = worst_nb = 0.0
     for n in range(9):
         for m in range(9):
-            elem = genfun.extract_element(n, m, genfun.identity_kernel())
+            elem = genfun.extract_element(n, m, genfun.identity_kernel)
             worst_id = max(worst_id, abs(elem - (1.0 if n == m else 0.0)))
-            elem = genfun.extract_element(n, m, genfun.transformed_number_kernel())
+            elem = genfun.extract_element(n, m, genfun.transformed_number_kernel)
             worst_nb = max(worst_nb, abs(elem - (m if n == m else 0.0)))
     checks.append(_check("identity kernel gives Kronecker delta", worst_id, 1e-10))
     checks.append(_check("squeezed number kernel gives m delta", worst_nb, 1e-10))
@@ -185,10 +181,10 @@ def _fourier_rule(m: int, center: float, r: float):
     return center + s * x, s * w / math.sqrt(2.0 * math.pi)
 
 
-def suite_fourier(max_m: int = 8) -> list[dict]:
+def suite_fourier() -> list[dict]:
     checks = []
     worst = 0.0
-    for m, r in ((0, 0.0), (1, 0.9), (3, 1.5), (min(8, max_m), 1.2)):
+    for m, r in ((0, 0.0), (1, 0.9), (3, 1.5), (8, 1.2)):
         st = SqueezedNumberState(m, r)
         p = np.array([0.0, 0.7, 1.6]) * math.exp(r)
         q, w = _fourier_rule(m, 0.0, r)
@@ -205,9 +201,9 @@ def suite_fourier(max_m: int = 8) -> list[dict]:
     return checks
 
 
-def suite_transition(max_m: int = 9) -> list[dict]:
+def suite_transition() -> list[dict]:
     checks = []
-    for m in range(3, max_m + 1):
+    for m in range(3, 10):
         res = analysis.transition_scan(m, 0.1, 0.5 * math.log(m) + 0.7, 0.02)
         checks.append(_check(f"transition onset m={m} near half-log law",
                              abs(res.r_star - 0.5 * math.log(m)), 0.15))
@@ -224,22 +220,18 @@ SUITES = {
 }
 
 
-def run_suites(names, max_m: int | None = None) -> dict:
-    """Run the requested suites and assemble the v1 report.  Raises
-    ``ValueError`` for an unknown suite, and for a ``max_m`` at which a suite
-    would check nothing: below 0, or below 3 for the transition scans."""
+def run_suites(names) -> dict:
+    """Run the requested suites ("all" for every one) on their fixed states
+    and assemble the v1 report.  Raises ``ValueError`` for an unknown suite
+    before any suite runs."""
     if "all" in names:
         names = list(SUITES)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        least = 3 if name == "transition" else 0
-        if max_m is not None and max_m < least:
-            raise ValueError(f"the {name} suite needs max_m >= {least}, got {max_m}")
     report = {"schema": "v1", "suites": {}, "passed": True}
     for name in names:
-        kwargs = {} if max_m is None else {"max_m": max_m}
-        checks = SUITES[name](**kwargs)
+        checks = SUITES[name]()
         ok = all(c["passed"] for c in checks)
         report["suites"][name] = {"checks": checks, "passed": ok}
         report["passed"] = report["passed"] and ok

@@ -62,6 +62,31 @@ def test_parity_gapped_comparison_and_left_edge_rule():
     assert list(rep.positions) == [1, 5]  # n=1 beats the virtual zero below it
 
 
+def test_parity_table_peak_at_its_last_row_counts():
+    # past the last same-parity row stands a virtual zero, as below n = 0
+    rep = find_maxima(table(range(4), [0, 0.1, 0, 0.9], parity=1))
+    assert list(rep.positions) == [3]
+    rep = find_maxima(table([0], [1.0], parity=0))  # one row is enough
+    assert list(rep.positions) == [0] and rep.count == 1
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_unsqueezed_photon_table_peaks_at_m(m):
+    rep = find_maxima(photon_distribution(SqueezedNumberState(m, 0.0)))
+    assert list(rep.positions) == [m] and list(rep.values) == [1.0]
+
+
+@pytest.mark.parametrize("floor", [-1e-9, math.nan])
+def test_floor_must_be_nonnegative(floor):
+    with pytest.raises(ValueError, match="floor must be nonnegative"):
+        find_maxima(table(range(5), [0, 1, 0, 1, 0]), floor=floor)
+
+
+def test_transition_scan_rejects_nan_prominence():
+    with pytest.raises(ValueError, match="prominence must be nonnegative"):
+        transition_scan(3, 0.1, 1.0, 0.02, prominence=math.nan)
+
+
 def test_refine_moves_position_off_grid():
     xs = np.linspace(0, 1, 11)
     f = -(xs - 0.43) ** 2 + 1.0
@@ -95,7 +120,7 @@ def find_maxima_walker(table, floor=1e-6, refine=False):
     if parity is not None:
         sel = np.flatnonzero(np.asarray(table.coords).astype(int) % 2 == parity)
         xs = table.coords[sel]
-        vals = np.concatenate([[0.0], table.probs[sel]])
+        vals = np.concatenate([[0.0], table.probs[sel], [0.0]])
         offset = 1
     else:
         xs = table.coords

@@ -196,6 +196,36 @@ def test_maxima_command_photon(capsys):
     assert doc["meta"]["count"] == 4
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_maxima_command_photon_unsqueezed(capsys, m):
+    # at r = 0 the table is the number state itself: one peak, at n = m
+    code, out, _ = run(capsys, "maxima", "--representation", "photon",
+                       "--m", str(m), "--r", "0", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rows"] == [[m, 1.0]]
+    assert doc["meta"]["count"] == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("maxima", "--representation", "photon", "--m", "7", "--r", "1.4", "--floor", "nan"),
+     "floor must be nonnegative, got nan"),
+    (("transition", "--m", "3", "--r-lo", "0.1", "--r-hi", "1.0", "--prominence", "nan"),
+     "prominence must be nonnegative, got nan"),
+    (("quad", "--kind", "position", "--m", "1", "--r", "nan", "--points", "3"),
+     "squeeze parameter must be finite"),
+    (("maxima", "--representation", "qslice", "--m", "1", "--r", "nan"),
+     "squeeze parameter must be finite"),
+])
+def test_nan_arguments_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {message}" in out.err
+
+
 def test_transition_command(capsys):
     code, out, _ = run(capsys, "transition", "--m", "4", "--r-lo", "0.1",
                        "--r-hi", "1.4", "--step", "0.02", "--format", "json")
@@ -329,15 +359,16 @@ def test_verify_single_suite_passes(capsys):
     assert doc["schema"] == "v1" and doc["passed"]
 
 
-def test_verify_max_m_that_checks_nothing_exits_2(capsys):
+def test_verify_takes_no_max_m_flag(capsys):
+    # each suite runs its fixed states; there is no knob to resize them
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--suite", "transition", "--max-m", "2"])
+        cli.main(["verify", "--suite", "all", "--max-m", "3"])
     assert exc.value.code == 2
-    assert "max_m >= 3" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-m 3" in capsys.readouterr().err
 
 
 def test_verify_failure_exits_3(capsys, monkeypatch):
-    def failing_suite(max_m=12):
+    def failing_suite():
         return [{"name": "stub", "measured": 1.0, "limit": 0.0, "passed": False}]
     monkeypatch.setitem(verify.SUITES, "parity", failing_suite)
     code, out, _ = run(capsys, "verify", "--suite", "parity")
@@ -383,7 +414,7 @@ def _reference_csv_body(columns):
     {"n": np.array([3, 3, -1, 3, 2 ** 40, -1]), "x": np.array([0.5, 0.5, -0.5, 0.5, 0.5, 0.0])},
 ])
 def test_write_table_matches_per_value_reference(tmp_path, columns):
-    config = cli.RunConfig("stub", {"k": 1})
+    config = {"command": "stub", "k": 1}
     csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
     cli._write_table(config, columns, "csv", str(csv_path), extra_header={"a": 1})
     cli._write_table(config, columns, "json", str(json_path), extra_header={"a": 1})
@@ -419,7 +450,7 @@ def test_qfunc_readme_csv_matches_per_value_reference(tmp_path):
 
 
 def test_write_table_prints_masks_as_integers(capsys):
-    config = cli.RunConfig("stub", {})
+    config = {"command": "stub"}
     cli._write_table(config, {"valid": np.array([True, False])}, "csv", None)
     assert capsys.readouterr().out.splitlines()[-3:] == ["valid", "1", "0"]
     cli._write_table(config, {"valid": np.array([True, False])}, "json", None)

@@ -182,14 +182,14 @@ def test_extraction_is_linear_in_the_kernel():
 def test_extract_element_identity_is_orthonormality():
     for n in range(7):
         for m in range(7):
-            got = extract_element(n, m, identity_kernel())
+            got = extract_element(n, m, identity_kernel)
             assert got == pytest.approx(1.0 if n == m else 0.0, abs=1e-12)
 
 
 def test_extract_element_transformed_number_operator():
     for n in range(7):
         for m in range(7):
-            got = extract_element(n, m, transformed_number_kernel())
+            got = extract_element(n, m, transformed_number_kernel)
             assert got == pytest.approx(float(m) if n == m else 0.0, abs=1e-12)
 
 

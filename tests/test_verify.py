@@ -1,10 +1,12 @@
 """Tests for the verify suites' dependencies and reports."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import squeezelab
@@ -31,29 +33,17 @@ def test_normalization_checks_hold_at_rounding():
     assert measured["quadrature variances match e^{+-2r}/2"] < 1e-14
 
 
-@pytest.mark.parametrize("suite,max_m,least", [
-    ("transition", 2, 3),  # its scans start at m = 3
-    ("transition", -1, 3),
-    ("all", 2, 3),
-    ("parity", -1, 0),
-    ("oracle", -1, 0),
-])
-def test_run_suites_rejects_max_m_that_checks_nothing(suite, max_m, least):
-    with pytest.raises(ValueError, match=f"needs max_m >= {least}, got {max_m}"):
-        verify.run_suites([suite], max_m=max_m)
-
-
-def test_transition_suite_at_its_least_max_m_runs_one_check():
-    report = verify.run_suites(["transition"], max_m=3)
-    assert len(report["suites"]["transition"]["checks"]) == 1
-    assert report["passed"]
-
-
 def test_run_suites_rejects_bad_arguments_before_running_any(monkeypatch):
     ran = []
-    monkeypatch.setitem(verify.SUITES, "parity", lambda **kwargs: ran.append(kwargs) or [])
+    monkeypatch.setitem(verify.SUITES, "parity", lambda: ran.append("parity") or [])
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         verify.run_suites(["parity", "nope"])
-    with pytest.raises(ValueError, match="transition suite needs max_m >= 3"):
-        verify.run_suites(["parity", "transition"], max_m=2)
     assert ran == []
+
+
+@pytest.mark.parametrize("bad", [1e-300, math.nan])
+def test_parity_fails_on_any_nonzero_structural_zero(monkeypatch, bad):
+    monkeypatch.setattr(verify, "fock_amplitude", lambda ns, state: np.full(len(ns), bad))
+    (check,) = verify.run_suites(["parity"])["suites"]["parity"]["checks"]
+    assert not check["passed"]
+    assert check["measured"] == bad or math.isnan(check["measured"])
