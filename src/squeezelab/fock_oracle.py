@@ -38,6 +38,12 @@ def default_dim(m: int, r: float) -> int:
     The photon support of a squeezed number state widens like e^{2r}, so
     the basis is sized as max(64, ceil((m + 10) e^{2|r|} * 4)); validated
     by the dimension-doubling stability checks in the test suite.
+
+    It is the default basis of :func:`oracle_amplitude`, whose callers may
+    have no photon cutoff (the oracle must not use the closed forms), and
+    sizes ``verify``'s photon-number sandwich, which reads the tail past
+    the cutoff.  ``verify``'s oracle suite sizes its bases from the photon
+    cutoff instead, at about two thirds of this.
     """
     return max(64, math.ceil((m + 10) * math.exp(2.0 * abs(r)) * 4.0))
 
@@ -98,47 +104,74 @@ def _bessel_j(rho: float) -> np.ndarray:
     return j[:np.flatnonzero(np.abs(j) > 1e-17)[-1] + 1]
 
 
-def _propagate(r: float, dim: int, p: int, v: np.ndarray) -> np.ndarray:
-    """exp(G) v for the generator G of the parity-p block of the dim basis
-    (:func:`_generator`) and start columns v, one row per block row.
+def _squeeze_columns(r: float, s: np.ndarray, parity: np.ndarray) -> None:
+    """Apply S(r) of the len(s) basis in place to the full-height columns s,
+    column j living on the rows of parity ``parity[j]``.
 
-    The Chebyshev expansion of the propagator (Tal-Ezer and Kosloff,
+    exp(G) for the generator G of each parity block (:func:`_generator`),
+    by the Chebyshev expansion of the propagator (Tal-Ezer and Kosloff,
     J. Chem. Phys. 81, 3967, 1984).  G is real antisymmetric, so its
     spectrum lies in i[-rho, rho] for the Gershgorin bound
     rho = max_i(|g[i-1]| + |g[i]|), and exp(G) v = J_0(rho) P_0 +
     2 sum_k J_k(rho) P_k over the real recurrence P_0 = v,
     P_1 = (G/rho) v, P_{k+1} = 2 (G/rho) P_k + P_{k-1}, cut where the
     Bessel coefficients fall below 1e-17.  With rho about |r| dim, that is
-    about |r| dim products on the block's dim/2 rows.  No random numbers
+    about |r| dim products on the block's dim/2 rows.
+
+    One loop serves both blocks.  Column j of the loop holds the rows
+    parity[j], parity[j] + 2, ... of s[:, j] (a shorter odd block gets
+    one zero row, coupled to the rest by a zero step), and carries its own
+    block's step g/rho and coefficients 2 J_k(rho), zero past that
+    block's last term.  Every element sees the products and sums of a
+    loop over its block alone, in the same order, and the zero terms add
+    nothing, so each column is the same to the bit whichever columns come
+    with it.  A block with rho < 2e-17 (r = 0, one row, or a squeeze so
+    small that J_0(rho) rounds to 1 and every later J_k lies below the
+    cut, where Miller's recurrence would overflow) is the identity in
+    floats: a zero step and the single coefficient 1.  No random numbers
     are drawn, so the columns repeat bit for bit.
     """
-    g = _generator(r, dim, p)
-    if not g.any():  # r = 0, or a one-row block: exp(G) is the identity
-        return v
-    rho = float(np.convolve(np.abs(g), [1.0, 1.0]).max())  # row sums |g[i-1]| + |g[i]|
-    coef = _bessel_j(rho)
-    step = (g / rho)[:, None]
-    cur = np.array(v, dtype=float)  # the loop overwrites it
+    dim = len(s)
+    rows = (dim + 1) // 2
+    steps = np.zeros((rows - 1, 2))
+    coefs = [np.ones(1), np.ones(1)]
+    for p in np.unique(parity):
+        g = _generator(r, dim, p)
+        rho = float(np.convolve(np.abs(g), [1.0, 1.0]).max()) if g.any() else 0.0
+        if rho >= 2e-17:  # below, J_0 rounds to 1 and every later J_k lies below the cut
+            steps[:g.size, p] = g / rho
+            coefs[p] = _bessel_j(rho)
+    coef = np.zeros((max(c.size for c in coefs), 2))
+    for p in (0, 1):
+        coef[:coefs[p].size, p] = coefs[p]
+    coef[1:] *= 2.0
+    # indexing the column axis gives Fortran order; in C order, like cur,
+    # every operand of the loop walks memory the same way
+    coef = np.ascontiguousarray(coef[:, parity])
+    step = np.ascontiguousarray(steps[:, parity])
+    cur = np.zeros((rows, len(parity)))
+    for p in (0, 1):
+        cur[:(dim - p + 1) // 2, parity == p] = s[p::2, parity == p]
     prev = np.zeros_like(cur)  # P_{-1} = -(G/rho) v, so that the loop starts at P_1
     prev[:-1] -= step * cur[1:]
     prev[1:] += step * cur[:-1]
     out = coef[0] * cur
     step *= 2.0
-    for c in coef[1:]:
-        prev[:-1] += step * cur[1:]  # P_{k-1} becomes P_{k+1} in place
-        prev[1:] -= step * cur[:-1]
-        prev, cur = cur, prev
-        out += (2.0 * c) * cur
-    return out
-
-
-def _squeeze_columns(r: float, s: np.ndarray, parity: np.ndarray) -> None:
-    """Apply S(r) of the len(s) basis in place to the full-height columns s,
-    column j living on the rows of parity ``parity[j]``."""
+    tmp = np.empty_like(cur)
+    lo, hi = tmp[:-1], tmp[1:]
+    # the row-shifted views of both buffers, taken once: term k updates
+    # P_{k-1} in place to P_{k+1}, and the two buffers trade roles each term
+    views = [(b[:-1], b[1:], a[1:], a[:-1], b) for a, b in ((cur, prev), (prev, cur))]
+    for k, c in enumerate(coef[1:]):
+        prev_lo, prev_hi, cur_hi, cur_lo, new = views[k % 2]
+        np.multiply(step, cur_hi, out=lo)
+        prev_lo += lo
+        np.multiply(step, cur_lo, out=hi)
+        prev_hi -= hi
+        np.multiply(c, new, out=tmp)
+        out += tmp
     for p in (0, 1):
-        j = parity == p
-        if j.any():
-            s[p::2, j] = _propagate(r, len(s), p, s[p::2, j])
+        s[p::2, parity == p] = out[:(dim - p + 1) // 2, parity == p]
 
 
 def build_squeeze(r: float, dim: int) -> FockMatrix:

@@ -86,14 +86,27 @@ def suite_normalization() -> list[dict]:
     return checks
 
 
+def _oracle_columns(ms, r: float) -> np.ndarray:
+    """Oracle columns S|m> for the m in ``ms`` on the rows n < dim // 2 of
+    their basis, which is sized from the photon cutoff of the largest m at
+    tail 1e-14: dim = 2 (cutoff + 2), so the rows run through the cutoff,
+    grown by 1.25x while a column reaches the edge of its basis."""
+    table = photon_distribution(SqueezedNumberState(int(np.max(ms)), r), 1e-14)
+    dim = 2 * (table.meta.truncation["cutoff"] + 2)
+    while True:
+        try:
+            return fock_oracle.oracle_amplitude(np.arange(dim // 2)[:, None], ms, r, dim)
+        except fock_oracle.TrustRegionError:
+            dim = math.ceil(1.25 * dim)
+
+
 def suite_oracle() -> list[dict]:
     checks = []
     ns = np.arange(13)
     worst_co = worst_go = worst_cg = worst_orth = 0.0
     for r in ORACLE_R_SET:
         states = [SqueezedNumberState(m, r) for m in ns]
-        rows = np.arange(fock_oracle.default_dim(12, r) // 2)
-        cols = fock_oracle.oracle_amplitude(rows[:, None], ns, r)
+        cols = _oracle_columns(ns, r)
         oracle = cols[:ns.size]
         jacobi = np.column_stack([fock_amplitude(ns, st) for st in states])
         series = np.array([[genfun.extract_amplitude("fock", n, st).real for st in states]
@@ -109,9 +122,9 @@ def suite_oracle() -> list[dict]:
 
     worst = 0.0
     for m, r in ((60, 1.0), (100, 0.5), (40, 2.0)):
-        n = np.arange(fock_oracle.default_dim(m, r) // 2)
-        jacobi = fock_amplitude(n, SqueezedNumberState(m, r))
-        worst = max(worst, float(np.abs(jacobi - fock_oracle.oracle_amplitude(n, m, r)).max()))
+        col = _oracle_columns([m], r)[:, 0]
+        jacobi = fock_amplitude(np.arange(col.size), SqueezedNumberState(m, r))
+        worst = max(worst, float(np.abs(jacobi - col).max()))
     checks.append(_check("Jacobi recurrence vs oracle column at (60, 1), (100, 0.5), (40, 2)",
                          worst, 1e-12))
 

@@ -100,6 +100,12 @@ def test_dense_squeeze_matches_expm(r, dim):
     assert diff.max() < 4e-12
 
 
+def _terms(r, dim, p):
+    """Chebyshev terms of one propagation of the parity-p block."""
+    g = fo._generator(r, dim, p)
+    return _bessel_j(float(np.convolve(np.abs(g), [1.0, 1.0]).max())).size
+
+
 def test_oracle_amplitude_trivials():
     for nm in (0, 3, 7):
         assert oracle_amplitude(nm, nm, 0.0) == pytest.approx(1.0, abs=1e-12)
@@ -110,6 +116,26 @@ def test_oracle_amplitude_trivials():
     for n in range(4):
         for j, m in enumerate((0, 3)):
             assert grid[n, j] == oracle_amplitude(n, m, 0.9, dim=default_dim(3, 0.9))
+    # whole columns too: at the odd default dim 315 above, the odd block is
+    # a row shorter; 316 is even, and at 320 the two blocks of the last
+    # stage (r/9 each) need different numbers of Chebyshev terms
+    assert _terms(0.1, 320, 0) != _terms(0.1, 320, 1)
+    for dim in (316, 320):
+        n = np.arange(dim // 2)
+        grid = oracle_amplitude(n[:, None], [0, 3], 0.9, dim)
+        for j, m in enumerate((0, 3)):
+            assert np.all(grid[:, j] == oracle_amplitude(n, m, 0.9, dim))
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-100, -1e-100, 1e-61, -1e-70])
+def test_tiny_squeeze_gives_the_identity(r):
+    # below rho = 2e-17 the propagator is the identity in floats; Miller's
+    # recurrence for J_k(rho) would overflow there (2k/rho past 1e58)
+    n = np.arange(8)
+    assert np.array_equal(oracle_amplitude(n[:, None], n, r), np.eye(8))
+    assert oracle_amplitude(0, 0, r) == 1.0
+    assert bogoliubov_residual(r, 64) < 1e-12
+    assert np.array_equal(build_squeeze(r, 64).entries, np.eye(64))
 
 
 def test_oracle_amplitude_independent_of_global_rng():
@@ -257,10 +283,8 @@ def test_number_operator_eigenrelation_in_squeezed_basis():
 def _one_stage_columns(r, dim, ms):
     """Full-height columns S|m> by one Chebyshev propagation at dim."""
     cols = np.zeros((dim, len(ms)))
-    for j, m in enumerate(ms):
-        start = np.zeros(((dim - m % 2 + 1) // 2, 1))
-        start[m // 2] = 1.0
-        cols[m % 2::2, j] = fo._propagate(r, dim, m % 2, start)[:, 0]
+    cols[ms, np.arange(len(ms))] = 1.0
+    fo._squeeze_columns(r, cols, np.asarray(ms) % 2)
     return cols
 
 

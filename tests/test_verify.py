@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import squeezelab
-from squeezelab import verify
+from squeezelab import fock_oracle, verify
+from squeezelab.squeezed_number import SqueezedNumberState, photon_distribution
 
 
 def test_quadrature_suites_load_no_scipy_integrate():
@@ -47,3 +48,48 @@ def test_parity_fails_on_any_nonzero_structural_zero(monkeypatch, bad):
     (check,) = verify.run_suites(["parity"])["suites"]["parity"]["checks"]
     assert not check["passed"]
     assert check["measured"] == bad or math.isnan(check["measured"])
+
+
+def test_oracle_suite_compares_rows_through_the_photon_cutoff(monkeypatch):
+    # the bases come from the photon cutoff, not from the edge rule alone
+    # (whose smallest passing basis leaves orthonormality at 4e-8), and
+    # stay below default_dim
+    calls = []
+    oracle = fock_oracle.oracle_amplitude
+
+    def recorded(n, m, r, dim=None):
+        calls.append((int(np.max(n)), np.atleast_1d(m).tolist(), r, dim))
+        return oracle(n, m, r, dim)
+
+    monkeypatch.setattr(fock_oracle, "oracle_amplitude", recorded)
+    assert all(c["passed"] for c in verify.suite_oracle())
+    assert len(calls) == len(verify.ORACLE_R_SET) + 3
+    for top, ms, r, dim in calls:
+        for m in ms:
+            table = photon_distribution(SqueezedNumberState(m, r), 1e-14)
+            assert top >= table.meta.truncation["cutoff"]
+        assert dim < fock_oracle.default_dim(max(ms), r)
+
+
+def test_oracle_basis_grows_until_the_columns_pass(monkeypatch):
+    # a cutoff too small for the edge rule: the basis grows by 1.25x until
+    # every stage passes, and the columns are those of the final basis
+    true_distribution = verify.photon_distribution
+    monkeypatch.setattr(verify, "photon_distribution", lambda state, eps: true_distribution(
+        SqueezedNumberState(state.m, state.r / 2), eps))
+    raised = []
+    oracle = fock_oracle.oracle_amplitude
+
+    def recorded(n, m, r, dim=None):
+        try:
+            return oracle(n, m, r, dim)
+        except fock_oracle.TrustRegionError:
+            raised.append(dim)
+            raise
+
+    monkeypatch.setattr(fock_oracle, "oracle_amplitude", recorded)
+    cols = verify._oracle_columns(np.arange(13), 0.973)
+    assert raised and all(b == math.ceil(1.25 * a) for a, b in zip(raised, raised[1:]))
+    dim = math.ceil(1.25 * raised[-1])
+    assert cols.shape == (dim // 2, 13)
+    assert np.array_equal(cols, oracle(np.arange(dim // 2)[:, None], np.arange(13), 0.973, dim))
