@@ -205,6 +205,8 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
     so that a basis of under 16 rows still has an edge of each parity.
     """
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
+    if n.dtype.kind not in "iu" or m.dtype.kind not in "iu":
+        raise ValueError("indices must be integers")
     if np.any(n < 0) or np.any(m < 0):
         raise ValueError("indices must be nonnegative")
     if dim is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -74,7 +75,9 @@ def exp_series(p: np.ndarray) -> np.ndarray:
     g = exp(p) satisfies g' = p' g in the leading variable, giving
     n g_n = sum_{k>=1} k p_k g_{n-k}.  For a 1-d series the p_k are
     numbers and g_0 = e^{p_0}; for a 2-d series they are series in beta,
-    multiplied by :func:`series_mul`, and g_0 = exp_series(p[0]).
+    multiplied by :func:`series_mul`, and g_0 = exp_series(p[0]).  The sum
+    runs over the k with p_k nonzero only, in the same order: an exact
+    zero added to it changes no float sum.
     """
     p = np.asarray(p, dtype=complex)
     g = np.zeros_like(p)
@@ -82,8 +85,10 @@ def exp_series(p: np.ndarray) -> np.ndarray:
         g[0], mul = cmath.exp(p[0]), np.multiply
     else:
         g[0], mul = exp_series(p[0]), series_mul
+    nonzero = np.flatnonzero(p.reshape(len(p), -1).any(axis=1)).tolist()
+    terms = [(k, k * p[k]) for k in nonzero if k]
     for n in range(1, len(p)):
-        g[n] = sum(mul(k * p[k], g[n - k]) for k in range(1, n + 1)) / n
+        g[n] = sum(mul(kp, g[n - k]) for k, kp in terms if k <= n) / n
     return g
 
 
@@ -127,7 +132,10 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
     m, r = state.m, state.r
     size = m + 1
     if kind == "fock":
-        n = int(value)
+        try:
+            n = operator.index(value)
+        except TypeError:
+            raise ValueError(f"photon index must be an integer, not {value!r}") from None
         if n < 0:
             raise ValueError("photon index must be nonnegative")
         try:

@@ -117,6 +117,9 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
     g, dg = np.ones_like(d), np.zeros_like(d)  # G_i and G_i - G_{i-1}
     expo = np.zeros(d.shape, dtype=int)
     diag, diag_expo = np.empty(j), np.empty(j, dtype=int)  # G_i at d = j - i
+    # every step writes into these, with the ufuncs, operands and order of
+    # the expressions in the comments, so the rounding is theirs
+    q, s, s2, den, coef, tmp = (np.empty_like(d) for _ in range(6))
     for i in range(j):
         if i and i % 16 == 0:
             shift = np.frexp(np.maximum(np.abs(g), np.abs(dg)))[1]
@@ -124,17 +127,26 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
             expo += shift
         if start == 0:
             diag[i], diag_expo[i] = g[j - i], expo[j - i]
-        q = d + (i + p + 0.5)  # i + a + b + 1 for (a, b) = (d, p - 1/2)
-        s = q + (i - 1.0)  # 2i + a + b
-        s2 = s + 2.0
+        np.add(d, i + p + 0.5, out=q)  # i + a + b + 1 for (a, b) = (d, p - 1/2)
+        np.add(q, i - 1.0, out=s)  # 2i + a + b
+        np.add(s, 2.0, out=s2)
         if near_one:  # G_i = P_i^{(d,b)}(1 - 2 tau^2) / P_i^{(d,b)}(1)
-            den = q * (d + (i + 1.0))
-            coef = (i * (i + beta)) * s2 / (s * den)
+            # den = q * (d + (i + 1)), coef = (i (i + b)) * s2 / (s * den)
+            np.multiply(q, np.add(d, i + 1.0, out=den), out=den)
+            np.multiply(i * (i + beta), s2, out=coef)
         else:  # G_i = P_i^{(b,d)}(1 - 2 sech^2 r) / P_i^{(b,d)}(1)
-            den = q * (beta + i + 1.0)
-            coef = i * (d + i) * s2 / (s * den)
+            # den = q * (b + i + 1), coef = i * (d + i) * s2 / (s * den)
+            np.multiply(q, beta + i + 1.0, out=den)
+            np.multiply(i, np.add(d, i, out=coef), out=coef)
+            np.multiply(coef, s2, out=coef)
+        np.divide(coef, np.multiply(s, den, out=tmp), out=coef)
         dg *= coef
-        dg -= (s + 1.0) * s2 / den * small * g
+        # dg -= (s + 1) * s2 / den * small * g
+        np.multiply(np.add(s, 1.0, out=tmp), s2, out=tmp)
+        np.divide(tmp, den, out=tmp)
+        np.multiply(tmp, small, out=tmp)
+        np.multiply(tmp, g, out=tmp)
+        dg -= tmp
         g += dg
     # F_j = G_j about x = 1 and (-1)^j (b + 1)_j / (d + 1)_j G_j about x = -1;
     # the prefactor's running product over d takes that factor along
@@ -164,9 +176,22 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
     least the cutoff of :func:`photon_distribution`, and the truncation
     record of that table.
 
-    The first block reaches the window's width past the mean photon number
-    m cosh 2r + sinh^2 r; each later one adds half as many rows again,
-    computing only the new rows, until the cutoff rule fires."""
+    The first block runs through the outer turning point
+    N = (m + 1/2) e^{2|r|} - 1/2, where the oscillations end, plus the
+    larger of the window (the last rise lies before N) and a tail margin
+    past N.  There the three-term recurrence b^dagger b |m, r> = m |m, r>
+    in the rows turns from oscillating to decaying; in the large-|r| form
+    of its WKB exponent P falls as exp(-(m + 1/2)(sinh s - s)) at
+    n + 1/2 = (N + 1/2) cosh^2(s/2): the Airy decay exp(-(4/3) x^{3/2})
+    near N, x being the rows past N over a width of about
+    N^{1/3} e^{4|r|/3} / 2, and the squeezed vacuum's tau^{2k} far out.
+    The margin ends where that exponent reaches ln(1 / tail_eps), with s
+    bounded from above: sinh s - s >= s^3 / 6.
+    Should the rule not fire on that block, each later one adds half as
+    many rows again, computing only the new rows; no row depends on
+    another, so the cutoff is the first row where it fires, whatever the
+    blocks.
+    """
     if not 1e-14 <= tail_eps < 1.0:
         raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
                          "of the distribution cannot resolve less")
@@ -174,13 +199,18 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
     cap_rows = (hard_cap - m % 2) // 2 + 1  # rows with n <= hard_cap
     # a window wider than the rows under the cap can never pass its test;
     # the clipped exponent keeps 10 e^{2|r|} from overflowing
-    window = math.ceil(10.0 * math.exp(min(2.0 * abs(r), math.log(max(cap_rows, 1)))))
+    stretch = math.exp(min(2.0 * abs(r), math.log(max(cap_rows, 1))))
+    window = math.ceil(10.0 * stretch)
     if abs(r) >= R_EPS and window > cap_rows:
         raise NonConvergenceError(
             f"photon distribution for m={m}, r={r} did not converge within the cutoff "
             f"cap {hard_cap}: the window of ceil(10 e^(2|r|)) same-parity rows is wider")
-    mean = m * math.cosh(2.0 * r) + math.sinh(r) ** 2
-    col = _column(state, min(max(math.ceil(mean / 2.0) + window, m // 2 + 1), cap_rows))
+    turn = (m + 0.5) * stretch  # N + 1/2
+    decay = -math.log(tail_eps) / (m + 0.5)
+    s = math.asinh(decay + (6.0 * decay) ** (1.0 / 3.0))  # sinh s - s = decay, from above
+    tail = turn * (math.cosh(s) - 1.0) / 4.0  # same-parity rows from N to the margin's end
+    rows = (turn - 0.5 - m % 2) / 2.0 + 1.0 + max(window, tail)
+    col = _column(state, math.ceil(min(rows, cap_rows)))
     while True:
         probs = col ** 2
         cum = np.cumsum(probs)
@@ -205,7 +235,8 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
 
 
 def fock_amplitude(n, state: SqueezedNumberState):
-    """<n | m, r>, real; vectorized over integer n.
+    """<n | m, r>, real; vectorized over integer n (a float index raises
+    ValueError).
 
     Read from the column of :func:`photon_distribution`, extended past its
     last block where n asks for more rows.  Every row is computed on its own
@@ -216,6 +247,8 @@ def fock_amplitude(n, state: SqueezedNumberState):
     its defaults.
     """
     n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"photon index must be an integer, not of dtype {n.dtype}")
     if np.any(n < 0):
         raise ValueError("photon index must be nonnegative")
     parity = state.m % 2
@@ -232,11 +265,12 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
                         hard_cap: int = HARD_CAP) -> DistributionTable:
     """Photon-number probabilities P_n = |<n|m,r>|^2 up to an adaptive cutoff.
 
-    The amplitudes of one parity (see :func:`_column`) are computed in
-    growing blocks until, for the first time, the accumulated probability
-    reaches 1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity
-    probabilities are nonincreasing, those below eps^2 taken as zero; the
-    cutoff N is that row.  The second condition keeps the truncation
+    The amplitudes of one parity (see :func:`_column`) are computed in one
+    block past the outer turning point, grown only if need be (see
+    :func:`_photon_column`), and the cutoff is the first row where the
+    accumulated probability reaches 1 - tail_eps AND the last
+    ceil(10 e^{2|r|}) same-parity probabilities are nonincreasing, those
+    below eps^2 taken as zero.  The second condition keeps the truncation
     from stopping inside a trough of the oscillating distribution.  At
     r = 0 the cutoff is m.  Rows of the opposite parity are kept as
     explicit zeros so the table plots with the true comb structure.

@@ -171,6 +171,13 @@ def test_oracle_amplitude_matches_closed_form_spec_point():
     assert got == pytest.approx(want, abs=1e-8)
 
 
+def test_oracle_amplitude_refuses_non_integer_indices():
+    for n, m in ((5.0, 7), (5, 7.0), (np.array([1.0, 3.0]), 7)):
+        with pytest.raises(ValueError, match="integers"):
+            oracle_amplitude(n, m, 1.4)
+    assert oracle_amplitude(np.int32(5), np.int64(7), 1.4) == oracle_amplitude(5, 7, 1.4)
+
+
 def test_oracle_amplitude_outside_trusted_block_raises():
     with pytest.raises(TrustRegionError, match="dim // 2"):
         oracle_amplitude(380, 0, 1.4, dim=400)  # row in the upper half

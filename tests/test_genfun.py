@@ -1,5 +1,6 @@
 """Tests for coefficient-array series arithmetic and generating-function extraction."""
 
+import cmath
 import math
 
 import numpy as np
@@ -89,6 +90,50 @@ def test_biseries_exp_of_cross_term():
             assert s[i, j] == pytest.approx(want, abs=1e-15)
 
 
+def exp_series_dense(p):
+    """Reference: exp_series with the recurrence summing every k, the
+    zero p_k included."""
+    p = np.asarray(p, dtype=complex)
+    g = np.zeros_like(p)
+    if p.ndim == 1:
+        g[0], mul = cmath.exp(p[0]), np.multiply
+    else:
+        g[0], mul = exp_series_dense(p[0]), series_mul
+    for n in range(1, len(p)):
+        g[n] = sum(mul(k * p[k], g[n - k]) for k in range(1, n + 1)) / n
+    return g
+
+
+# coefficients with exact zeros of both signs among them, so that whole
+# powers (or whole rows in beta) vanish
+gappy = st.one_of(st.just(0.0), st.just(-0.0),
+                  st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False))
+gappy_complex = st.builds(complex, gappy, gappy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(gappy_complex, min_size=1, max_size=14),
+       st.lists(st.booleans(), min_size=14, max_size=14))
+def test_exp_series_sparse_sum_is_the_dense_sum_1d(coeffs, drop):
+    p = np.array([0.0 if gone else c for c, gone in zip(coeffs, drop)], dtype=complex)
+    assert exp_series(p).tobytes() == exp_series_dense(p).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(gappy_complex, min_size=5, max_size=5), min_size=1, max_size=7),
+       st.lists(st.booleans(), min_size=7, max_size=7))
+def test_exp_series_sparse_sum_is_the_dense_sum_2d(rows, drop):
+    p = np.array([[0.0] * 5 if gone else row for row, gone in zip(rows, drop)], dtype=complex)
+    assert exp_series(p).tobytes() == exp_series_dense(p).tobytes()
+
+
+def test_exp_series_sparse_sum_on_the_kernels():
+    # the one-term exponents of the Fock kernel and the identity kernel
+    for p in (series({2: 0.5 * math.tanh(-1.4)}, 14), series({(1, 1): 1.0}, (9, 9)),
+              series({1: 0.3 - 2.0j, 2: -0.5}, 12)):
+        assert exp_series(p).tobytes() == exp_series_dense(p).tobytes()
+
+
 # --------------------------------------------------------- single extraction
 
 def test_extract_fock_r_zero_is_delta():
@@ -107,6 +152,14 @@ def test_extract_fock_matches_closed_form(r):
             got = extract_amplitude("fock", n, st)
             assert abs(got - fock_amplitude(n, st)) < 1e-8
             assert abs(got.imag) < 1e-14
+
+
+def test_extract_fock_refuses_a_non_integer_index():
+    st = SqueezedNumberState(7, 1.4)
+    for n in (3.9, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            extract_amplitude("fock", n, st)
+    assert extract_amplitude("fock", np.int64(3), st) == extract_amplitude("fock", 3, st)
 
 
 def test_extract_fock_overflow_raises_package_error():

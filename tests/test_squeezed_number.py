@@ -41,6 +41,16 @@ def test_fock_amplitude_identity_at_r_zero():
             assert fock_amplitude(n, st) == (1.0 if n == m else 0.0)
 
 
+def test_fock_amplitude_refuses_non_integer_indices():
+    st = SqueezedNumberState(7, 1.4)
+    for n in (5.0, 3.9, np.array([1.0, 3.0]), [1, 2.5], True):
+        with pytest.raises(ValueError, match="integer"):
+            fock_amplitude(n, st)
+    assert fock_amplitude(np.int32(5), st) == fock_amplitude(5, st)
+    assert np.array_equal(fock_amplitude(np.array([3, 5], dtype=np.uint8), st),
+                          fock_amplitude([3, 5], st))
+
+
 def test_fock_amplitude_parity_zero_is_structural():
     st = SqueezedNumberState(2, 0.7)
     assert fock_amplitude(3, st) == 0.0
@@ -308,6 +318,110 @@ def test_fock_amplitude_rows_do_not_depend_on_the_block():
     assert single == many
     assert abs(single) == math.sqrt(table.probs[800])
     assert single ** 2 == table.probs[800]
+
+
+def column_expression_form(state, rows, start=0):
+    """Reference: :func:`squeezed_number._column` with every step of the
+    recurrence written as array expressions, a new array per operation."""
+    m, r = state.m, state.r
+    p, j = m % 2, m // 2
+    if abs(r) < squeezed_number.R_EPS:
+        col = np.zeros(rows - start)
+        if start <= j < rows:
+            col[j - start] = 1.0
+        return col
+    tau = math.tanh(r)
+    near_one = tau * tau < 0.25
+    small = tau * tau if near_one else math.cosh(r) ** -2
+    beta = p - 0.5
+    d_lo = max(start - j, 0)
+    d = np.arange(d_lo, max(rows - j, j + 1) if start == 0 else rows - j, dtype=float)
+    g, dg = np.ones_like(d), np.zeros_like(d)
+    expo = np.zeros(d.shape, dtype=int)
+    diag, diag_expo = np.empty(j), np.empty(j, dtype=int)
+    for i in range(j):
+        if i and i % 16 == 0:
+            shift = np.frexp(np.maximum(np.abs(g), np.abs(dg)))[1]
+            g, dg = np.ldexp(g, -shift), np.ldexp(dg, -shift)
+            expo += shift
+        if start == 0:
+            diag[i], diag_expo[i] = g[j - i], expo[j - i]
+        q = d + (i + p + 0.5)
+        s = q + (i - 1.0)
+        s2 = s + 2.0
+        if near_one:
+            den = q * (d + (i + 1.0))
+            coef = (i * (i + beta)) * s2 / (s * den)
+        else:
+            den = q * (beta + i + 1.0)
+            coef = i * (d + i) * s2 / (s * den)
+        dg *= coef
+        dg -= (s + 1.0) * s2 / den * small * g
+        g += dg
+    if near_one:
+        anchor, upper_den = 1.0, np.arange(1.0, d[-1] + 1.0)
+    else:
+        anchor = (-1) ** j * (2 * j + 1) ** p * math.comb(2 * j, j) / 4 ** j
+        upper_den = np.arange(1.0, d[-1] + 1.0) + j
+    anchor *= math.cosh(r) ** -(p + 0.5)
+    n_up = np.arange(m + 2.0, m + 2.0 * d[-1] + 1.0, 2.0)
+    f, f_expo = squeezed_number._scaled_cumprod(
+        anchor, -0.5 * tau * np.sqrt(n_up * (n_up - 1.0)) / upper_den)
+    top = max(rows - j - d_lo, 0)
+    upper = np.ldexp(f[d_lo:d_lo + top] * g[:top], f_expo[d_lo:d_lo + top] + expo[:top])
+    if start:
+        return upper
+    i = np.arange(j - 1.0, -1.0, -1.0)
+    n_low = p + 2.0 * i + 2.0
+    low_den = j - i if near_one else -(beta + 1.0 + i)
+    f, f_expo = squeezed_number._scaled_cumprod(
+        anchor, 0.5 * tau * np.sqrt(n_low * (n_low - 1.0)) / low_den)
+    lower = np.ldexp(f[:0:-1] * diag, f_expo[:0:-1] + diag_expo)
+    return np.concatenate((lower[:rows], upper))
+
+
+# tau^2 = 1/4 at |r| = atanh(1/2) = 0.5493: the recurrence switches ends there
+column_r = hst.one_of(
+    hst.sampled_from([0.5493, -0.5493, 0.5494, -0.5494, 1e-7, -1e-7, 1.4, -2.0]),
+    hst.floats(min_value=0.01, max_value=3.0).flatmap(
+        lambda a: hst.sampled_from([a, -a])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=hst.integers(min_value=0, max_value=300), r=column_r,
+       rows=hst.integers(min_value=1, max_value=400), extra=hst.integers(min_value=0, max_value=300))
+def test_column_bit_identical_to_the_expression_form(m, r, rows, extra):
+    st = SqueezedNumberState(m, r)
+    assert np.array_equal(squeezed_number._column(st, rows),
+                          column_expression_form(st, rows))
+    # a later block: start past j = m // 2, as the table and fock_amplitude grow
+    start = m // 2 + rows
+    assert np.array_equal(squeezed_number._column(st, start + extra + 1, start),
+                          column_expression_form(st, start + extra + 1, start))
+
+
+@pytest.mark.parametrize("m,r,tail_eps", [
+    # the precision-envelope states at the defaults
+    (7, 1.4, 1e-10), (20, 2.0, 1e-10), (40, 2.0, 1e-10), (60, 1.0, 1e-10),
+    (100, 0.5, 1e-10), (300, 1.5, 1e-10),
+    # the states verify's oracle suite sizes its bases from, at tail 1e-14
+    (12, 0.3, 1e-14), (12, 0.973, 1e-14), (12, 1.4, 1e-14), (60, 1.0, 1e-14),
+    (100, 0.5, 1e-14), (40, 2.0, 1e-14),
+])
+def test_photon_table_is_one_block(m, r, tail_eps, monkeypatch):
+    # the first block runs through the outer turning point and the tail
+    # margin past it, so the cutoff rule fires on it
+    calls = []
+    column = squeezed_number._column
+    monkeypatch.setattr(squeezed_number, "_column",
+                        lambda *args: calls.append(args[1:]) or column(*args))
+    st = SqueezedNumberState(m, r)
+    table = photon_distribution(st, tail_eps)
+    assert len(calls) == 1 and calls[0][1:] in ((), (0,))  # (rows,) from row 0
+    # and the table is the squares of one block through the cutoff
+    rows = table.meta.truncation["cutoff"] // 2 + 1
+    block = column(st, rows)
+    assert np.array_equal(table.probs[m % 2::2], block ** 2)
 
 
 @pytest.mark.parametrize("m,r", [(7, 1.4), (300, 1.5), (1000, 1.0)])
