@@ -209,6 +209,8 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
         raise ValueError("indices must be integers")
     if np.any(n < 0) or np.any(m < 0):
         raise ValueError("indices must be nonnegative")
+    # an 8-bit m would carry its dtype into the generator's index bounds
+    n, m = n.astype(np.intp), m.astype(np.intp)
     if dim is None:
         dim = default_dim(int(m.max(initial=0)), r)
     if np.any(n >= dim // 2) or np.any(m >= dim):

@@ -76,9 +76,8 @@ def _scaled_cumprod(first: float, ratios: np.ndarray):
     return mant, expo
 
 
-def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray:
-    """<p + 2k | m, r> for start <= k < rows, p = m % 2; ``start`` is 0 or
-    above j = m // 2.
+def _column(state: SqueezedNumberState, rows: int) -> np.ndarray:
+    """<p + 2k | m, r> for 0 <= k < rows, p = m % 2.
 
     With tau = tanh r, the generating function gives for every d >= 0 and
     state index i
@@ -90,7 +89,7 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
     and F_i(d) is the Jacobi polynomial P_i^{(d, p-1/2)}(1 - 2 tau^2) over
     its value at 1 (DLMF 15.8(i), 18.5.7).  The Jacobi three-term
     recurrence in the degree (DLMF 18.9.2) carries F_0 = 1 to F_j at every
-    offset d of the block at once, in Reinsch's difference form about the
+    offset d of the column at once, in Reinsch's difference form about the
     nearer end of the interval: about x = 1 in tau^2 while tau^2 < 1/4,
     otherwise about x = -1 in sech^2 r (with the parameters swapped,
     P_i^{(a,b)}(x) = (-1)^i P_i^{(b,a)}(-x)).  Either way the small
@@ -99,21 +98,20 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
     S(r)^T = S(-r) gives <p + 2i | m, r> = (-1)^{j-i} times the step-i value
     at d = j - i.  Each offset carries its own power-of-two exponent,
     rescaled every 16 steps, so tau^d underflows nowhere, and no row depends
-    on another: a row is bit for bit the same in any block.
+    on another: a row is bit for bit the same whatever ``rows`` is.
     """
     m, r = state.m, state.r
     p, j = m % 2, m // 2
     if abs(r) < R_EPS:
-        col = np.zeros(rows - start)
-        if start <= j < rows:
-            col[j - start] = 1.0
+        col = np.zeros(rows)
+        if j < rows:
+            col[j] = 1.0
         return col
     tau = math.tanh(r)
     near_one = tau * tau < 0.25
     small = tau * tau if near_one else math.cosh(r) ** -2
     beta = p - 0.5
-    d_lo = max(start - j, 0)
-    d = np.arange(d_lo, max(rows - j, j + 1) if start == 0 else rows - j, dtype=float)
+    d = np.arange(max(rows - j, j + 1), dtype=float)
     g, dg = np.ones_like(d), np.zeros_like(d)  # G_i and G_i - G_{i-1}
     expo = np.zeros(d.shape, dtype=int)
     diag, diag_expo = np.empty(j), np.empty(j, dtype=int)  # G_i at d = j - i
@@ -125,8 +123,7 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
             shift = np.frexp(np.maximum(np.abs(g), np.abs(dg)))[1]
             g, dg = np.ldexp(g, -shift), np.ldexp(dg, -shift)
             expo += shift
-        if start == 0:
-            diag[i], diag_expo[i] = g[j - i], expo[j - i]
+        diag[i], diag_expo[i] = g[j - i], expo[j - i]
         np.add(d, i + p + 0.5, out=q)  # i + a + b + 1 for (a, b) = (d, p - 1/2)
         np.add(q, i - 1.0, out=s)  # 2i + a + b
         np.add(s, 2.0, out=s2)
@@ -158,10 +155,8 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
     anchor *= math.cosh(r) ** -(p + 0.5)
     n_up = np.arange(m + 2.0, m + 2.0 * d[-1] + 1.0, 2.0)
     f, f_expo = _scaled_cumprod(anchor, -0.5 * tau * np.sqrt(n_up * (n_up - 1.0)) / upper_den)
-    top = max(rows - j - d_lo, 0)  # offsets of the block at or above m
-    upper = np.ldexp(f[d_lo:d_lo + top] * g[:top], f_expo[d_lo:d_lo + top] + expo[:top])
-    if start:
-        return upper
+    top = max(rows - j, 0)  # rows at or above m
+    upper = np.ldexp(f[:top] * g[:top], f_expo[:top] + expo[:top])
     # <p + 2i | m, r> = (-1)^{j-i} (the step-i value at d = j - i), built down from i = j
     i = np.arange(j - 1.0, -1.0, -1.0)
     n_low = p + 2.0 * i + 2.0
@@ -171,12 +166,44 @@ def _column(state: SqueezedNumberState, rows: int, start: int = 0) -> np.ndarray
     return np.concatenate((lower[:rows], upper))
 
 
-def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
-    """(column, truncation): the amplitudes of one parity from row 0 to at
-    least the cutoff of :func:`photon_distribution`, and the truncation
-    record of that table.
+def fock_amplitude(n, state: SqueezedNumberState):
+    """<n | m, r>, real; vectorized over integer n (a float index raises
+    ValueError).
 
-    The first block runs through the outer turning point
+    One column (see :func:`_column`) from row 0 through the largest n.
+    Every row is computed on its own, so a row reads the same whatever else
+    is requested, and the squares are the probabilities of
+    :func:`photon_distribution` bit for bit.  Mixed parity gives an exact
+    0.0 and r = 0 the Kronecker delta.  Raises ValueError for |r| past
+    :data:`~squeezelab.squeezed_coherent.R_MAX`.
+    """
+    n = np.asarray(n)
+    if n.dtype.kind not in "iu":
+        raise ValueError(f"photon index must be an integer, not of dtype {n.dtype}")
+    if np.any(n < 0):
+        raise ValueError("photon index must be nonnegative")
+    check_squeeze(state.r)
+    parity = state.m % 2
+    col = _column(state, max(1, (int(n.max(initial=0)) - parity) // 2 + 1))
+    same = (n - parity) % 2 == 0
+    amps = np.where(same, col[np.where(same, n - parity, 0) // 2], 0.0)
+    return amps if n.ndim else float(amps)
+
+
+def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
+                        hard_cap: int = HARD_CAP) -> DistributionTable:
+    """Photon-number probabilities P_n = |<n|m,r>|^2 up to an adaptive cutoff.
+
+    The cutoff is the first row where the accumulated probability reaches
+    1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity probabilities
+    are nonincreasing, those below eps^2 taken as zero.  The second
+    condition keeps the truncation from stopping inside a trough of the
+    oscillating distribution.  At r = 0 the cutoff is m.  Rows of the
+    opposite parity are kept as explicit zeros so the table plots with the
+    true comb structure.
+
+    The amplitudes of one parity (see :func:`_column`) are computed from
+    row 0 in one block through the outer turning point
     N = (m + 1/2) e^{2|r|} - 1/2, where the oscillations end, plus the
     larger of the window (the last rise lies before N) and a tail margin
     past N.  There the three-term recurrence b^dagger b |m, r> = m |m, r>
@@ -186,17 +213,22 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
     near N, x being the rows past N over a width of about
     N^{1/3} e^{4|r|/3} / 2, and the squeezed vacuum's tau^{2k} far out.
     The margin ends where that exponent reaches ln(1 / tail_eps), with s
-    bounded from above: sinh s - s >= s^3 / 6.
-    Should the rule not fire on that block, each later one adds half as
-    many rows again, computing only the new rows; no row depends on
-    another, so the cutoff is the first row where it fires, whatever the
-    blocks.
+    bounded from above: sinh s - s >= s^3 / 6.  Should the rule not fire
+    on that block, one block through ``hard_cap`` follows; no row depends
+    on the block it is in, so the cutoff is the same either way.
+
+    ``tail_eps`` must lie in [1e-14, 1): a normalized float64 column cannot
+    resolve a smaller tail.  Each amplitude keeps its relative accuracy
+    however small it is: P_14 = 2.095e-99 for m = 0, r = 1e-7, the closed
+    form's value.  Raises :class:`NonConvergenceError` if the cutoff would
+    exceed ``hard_cap``, with the mass the rows through the cap reach.
     """
     if not 1e-14 <= tail_eps < 1.0:
         raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
                          "of the distribution cannot resolve less")
     m, r = state.m, state.r
-    cap_rows = (hard_cap - m % 2) // 2 + 1  # rows with n <= hard_cap
+    parity = m % 2
+    cap_rows = (hard_cap - parity) // 2 + 1  # rows with n <= hard_cap
     # a window wider than the rows under the cap can never pass its test;
     # the clipped exponent keeps 10 e^{2|r|} from overflowing
     stretch = math.exp(min(2.0 * abs(r), math.log(max(cap_rows, 1))))
@@ -209,10 +241,10 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
     decay = -math.log(tail_eps) / (m + 0.5)
     s = math.asinh(decay + (6.0 * decay) ** (1.0 / 3.0))  # sinh s - s = decay, from above
     tail = turn * (math.cosh(s) - 1.0) / 4.0  # same-parity rows from N to the margin's end
-    rows = (turn - 0.5 - m % 2) / 2.0 + 1.0 + max(window, tail)
-    col = _column(state, math.ceil(min(rows, cap_rows)))
-    while True:
-        probs = col ** 2
+    rows = (turn - 0.5 - parity) / 2.0 + 1.0 + max(window, tail)
+    # the sized block, then, if the rule does not fire on it, one through the cap
+    for block in sorted({math.ceil(min(rows, cap_rows)), cap_rows}):
+        probs = _column(state, block) ** 2
         cum = np.cumsum(probs)
         fires = cum >= 1.0 - tail_eps
         if abs(r) >= R_EPS:  # at r = 0 the mass is exhausted at row m // 2
@@ -223,72 +255,21 @@ def _photon_column(state: SqueezedNumberState, tail_eps: float, hard_cap: int):
             rises = np.cumsum(np.concatenate(([0], p[1:] > p[:-1])))
             fires &= (i >= window - 1) & (rises == rises[np.maximum(i - window + 1, 0)])
         if fires.any():
-            cut = int(np.argmax(fires))
-            return col, {"cutoff": m % 2 + 2 * cut, "tail_eps": tail_eps,
-                         "cumulative": float(cum[cut]), "window": window}
-        if len(col) >= cap_rows:
-            raise NonConvergenceError(
-                f"photon distribution for m={m}, r={r} did not converge "
-                f"within the cutoff cap {hard_cap}")
-        col = np.concatenate((col, _column(state, min(math.ceil(1.5 * len(col)), cap_rows),
-                                           len(col))))
-
-
-def fock_amplitude(n, state: SqueezedNumberState):
-    """<n | m, r>, real; vectorized over integer n (a float index raises
-    ValueError).
-
-    Read from the column of :func:`photon_distribution`, extended past its
-    last block where n asks for more rows.  Every row is computed on its own
-    (see :func:`_column`), so the squares are the table's probabilities bit
-    for bit, and a row reads the same whatever else is requested.  Mixed
-    parity gives an exact 0.0 and r = 0 the Kronecker delta.  Raises
-    :class:`NonConvergenceError` where :func:`photon_distribution` does at
-    its defaults.
-    """
-    n = np.asarray(n)
-    if n.dtype.kind not in "iu":
-        raise ValueError(f"photon index must be an integer, not of dtype {n.dtype}")
-    if np.any(n < 0):
-        raise ValueError("photon index must be nonnegative")
-    parity = state.m % 2
-    col = _photon_column(state, TAIL_EPS, HARD_CAP)[0]
-    rows = (int(n.max(initial=0)) - parity) // 2 + 1
-    if rows > len(col):
-        col = np.concatenate((col, _column(state, rows, len(col))))
-    same = (n - parity) % 2 == 0
-    amps = np.where(same, col[np.where(same, n - parity, 0) // 2], 0.0)
-    return amps if n.ndim else float(amps)
-
-
-def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
-                        hard_cap: int = HARD_CAP) -> DistributionTable:
-    """Photon-number probabilities P_n = |<n|m,r>|^2 up to an adaptive cutoff.
-
-    The amplitudes of one parity (see :func:`_column`) are computed in one
-    block past the outer turning point, grown only if need be (see
-    :func:`_photon_column`), and the cutoff is the first row where the
-    accumulated probability reaches 1 - tail_eps AND the last
-    ceil(10 e^{2|r|}) same-parity probabilities are nonincreasing, those
-    below eps^2 taken as zero.  The second condition keeps the truncation
-    from stopping inside a trough of the oscillating distribution.  At
-    r = 0 the cutoff is m.  Rows of the opposite parity are kept as
-    explicit zeros so the table plots with the true comb structure.
-
-    ``tail_eps`` must lie in [1e-14, 1): a normalized float64 column cannot
-    resolve a smaller tail.  Each amplitude keeps its relative accuracy
-    however small it is: P_14 = 2.095e-99 for m = 0, r = 1e-7, the closed
-    form's value.  Raises :class:`NonConvergenceError` if the cutoff would
-    exceed ``hard_cap``.
-    """
-    parity = state.m % 2
-    col, truncation = _photon_column(state, tail_eps, hard_cap)
-    last = truncation["cutoff"]
-    probs = np.zeros(last + 1)
-    probs[parity::2] = col[:last // 2 + 1] ** 2
-    meta = TableMeta(state=(state.m, state.r), representation="photon",
-                     truncation=truncation, parity=parity)
-    return DistributionTable(np.arange(last + 1), probs, meta)
+            break
+    else:
+        raise NonConvergenceError(
+            f"photon distribution for m={m}, r={r} did not converge within the cutoff "
+            f"cap {hard_cap}: its mass through n = {hard_cap} is "
+            f"1 - {1.0 - (cum[-1] if block else 0.0):.3g}")
+    cut = int(np.argmax(fires))
+    last = parity + 2 * cut
+    table = np.zeros(last + 1)
+    table[parity::2] = probs[:cut + 1]
+    truncation = {"cutoff": last, "tail_eps": tail_eps, "cumulative": float(cum[cut]),
+                  "window": window}
+    meta = TableMeta(state=(m, r), representation="photon", truncation=truncation,
+                     parity=parity)
+    return DistributionTable(np.arange(last + 1), table, meta)
 
 
 def position_wf(q, state: SqueezedNumberState):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,17 @@ def test_photon_cutoff_cap_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert "did not converge within the cutoff cap" in err
+
+
+def test_photon_cap_error_names_the_mass(capsys):
+    # at tail 3e-14 the float64 mass of the rows through the cap falls
+    # short of 1 by more than the tail
+    code, out, err = run(capsys, "photon", "--m", "300", "--r", "1.5", "--tail-eps", "3e-14")
+    assert code == 4
+    assert out == ""
+    assert "did not converge within the cutoff cap 100000" in err
+    mass = re.search(r": its mass through n = 100000 is 1 - (\S+)\n", err)
+    assert mass and 3e-14 < float(mass.group(1)) < 1e-12
 
 
 @pytest.mark.parametrize("r", ["5", "21", "400"])

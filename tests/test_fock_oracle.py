@@ -176,6 +176,12 @@ def test_oracle_amplitude_refuses_non_integer_indices():
         with pytest.raises(ValueError, match="integers"):
             oracle_amplitude(n, m, 1.4)
     assert oracle_amplitude(np.int32(5), np.int64(7), 1.4) == oracle_amplitude(5, 7, 1.4)
+    # an 8-bit dtype must not reach the generator's index bounds, where
+    # np.arange overflowed
+    value = oracle_amplitude(3, 7, 1.4)
+    for dtype in (np.int8, np.uint8):
+        assert oracle_amplitude(3, dtype(7), 1.4) == value
+        assert oracle_amplitude(dtype(3), 7, 1.4) == value
 
 
 def test_oracle_amplitude_outside_trusted_block_raises():

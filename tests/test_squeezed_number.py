@@ -122,6 +122,9 @@ def test_photon_distribution_mass_and_meta():
 def test_photon_distribution_nonconvergence_error():
     with pytest.raises(NonConvergenceError):
         photon_distribution(SqueezedNumberState(7, 1.4), 1e-10, hard_cap=30)
+    # a cap below the parity leaves no row at all
+    with pytest.raises(NonConvergenceError, match="its mass through n = 0 is 1 - 1$"):
+        photon_distribution(SqueezedNumberState(1, 0.0), hard_cap=0)
 
 
 @pytest.mark.parametrize("r", [5.0, -5.0, 21.0, 400.0])
@@ -132,19 +135,25 @@ def test_cutoff_window_past_the_cap_raises_before_any_solve(r, monkeypatch):
     def no_solve(*args):
         raise AssertionError("a block of the column was computed")
     monkeypatch.setattr(squeezed_number, "_column", no_solve)
-    st = SqueezedNumberState(3, r)
     with pytest.raises(NonConvergenceError, match="did not converge within the cutoff cap"):
-        photon_distribution(st)
-    with pytest.raises(NonConvergenceError, match="did not converge within the cutoff cap"):
-        fock_amplitude(1, st)
+        photon_distribution(SqueezedNumberState(3, r))
+
+
+@pytest.mark.parametrize("r", [5.0, -5.0, 21.0])
+def test_fock_amplitude_past_the_table_cap(r):
+    # fock_amplitude builds no table, so it answers where the table's
+    # window cannot fit under the cap: <1|3,r> = (tanh r / 2) sqrt 6 cosh^{-3/2} r
+    expected = 0.5 * math.tanh(r) * math.sqrt(6.0) * math.cosh(r) ** -1.5
+    assert fock_amplitude(1, SqueezedNumberState(3, r)) == pytest.approx(expected, rel=1e-15)
 
 
 @pytest.mark.parametrize("r", [400.0, -400.0])
 def test_phase_space_functions_refuse_squeeze_past_float_range(r):
-    # e^{2|r|} overflows past R_MAX = 354.89; the photon amplitudes keep
-    # their own cutoff rule (previous test), the rest raise ValueError
+    # e^{2|r|} overflows past R_MAX = 354.89; the photon table keeps its
+    # own cutoff rule (see above), the rest raise ValueError
     st = SqueezedNumberState(1, r)
-    for call in (lambda: position_wf(0.5, st), lambda: momentum_wf(0.5, st),
+    for call in (lambda: fock_amplitude(1, st),
+                 lambda: position_wf(0.5, st), lambda: momentum_wf(0.5, st),
                  lambda: q_slice_imag([0.0, 3.0], st), lambda: q_function(1j, st)):
         with pytest.raises(ValueError, match="354.891"):
             call()
@@ -320,22 +329,21 @@ def test_fock_amplitude_rows_do_not_depend_on_the_block():
     assert single ** 2 == table.probs[800]
 
 
-def column_expression_form(state, rows, start=0):
+def column_expression_form(state, rows):
     """Reference: :func:`squeezed_number._column` with every step of the
     recurrence written as array expressions, a new array per operation."""
     m, r = state.m, state.r
     p, j = m % 2, m // 2
     if abs(r) < squeezed_number.R_EPS:
-        col = np.zeros(rows - start)
-        if start <= j < rows:
-            col[j - start] = 1.0
+        col = np.zeros(rows)
+        if j < rows:
+            col[j] = 1.0
         return col
     tau = math.tanh(r)
     near_one = tau * tau < 0.25
     small = tau * tau if near_one else math.cosh(r) ** -2
     beta = p - 0.5
-    d_lo = max(start - j, 0)
-    d = np.arange(d_lo, max(rows - j, j + 1) if start == 0 else rows - j, dtype=float)
+    d = np.arange(max(rows - j, j + 1), dtype=float)
     g, dg = np.ones_like(d), np.zeros_like(d)
     expo = np.zeros(d.shape, dtype=int)
     diag, diag_expo = np.empty(j), np.empty(j, dtype=int)
@@ -344,8 +352,7 @@ def column_expression_form(state, rows, start=0):
             shift = np.frexp(np.maximum(np.abs(g), np.abs(dg)))[1]
             g, dg = np.ldexp(g, -shift), np.ldexp(dg, -shift)
             expo += shift
-        if start == 0:
-            diag[i], diag_expo[i] = g[j - i], expo[j - i]
+        diag[i], diag_expo[i] = g[j - i], expo[j - i]
         q = d + (i + p + 0.5)
         s = q + (i - 1.0)
         s2 = s + 2.0
@@ -367,10 +374,8 @@ def column_expression_form(state, rows, start=0):
     n_up = np.arange(m + 2.0, m + 2.0 * d[-1] + 1.0, 2.0)
     f, f_expo = squeezed_number._scaled_cumprod(
         anchor, -0.5 * tau * np.sqrt(n_up * (n_up - 1.0)) / upper_den)
-    top = max(rows - j - d_lo, 0)
-    upper = np.ldexp(f[d_lo:d_lo + top] * g[:top], f_expo[d_lo:d_lo + top] + expo[:top])
-    if start:
-        return upper
+    top = max(rows - j, 0)
+    upper = np.ldexp(f[:top] * g[:top], f_expo[:top] + expo[:top])
     i = np.arange(j - 1.0, -1.0, -1.0)
     n_low = p + 2.0 * i + 2.0
     low_den = j - i if near_one else -(beta + 1.0 + i)
@@ -389,15 +394,11 @@ column_r = hst.one_of(
 
 @settings(max_examples=80, deadline=None)
 @given(m=hst.integers(min_value=0, max_value=300), r=column_r,
-       rows=hst.integers(min_value=1, max_value=400), extra=hst.integers(min_value=0, max_value=300))
-def test_column_bit_identical_to_the_expression_form(m, r, rows, extra):
+       rows=hst.integers(min_value=1, max_value=400))
+def test_column_bit_identical_to_the_expression_form(m, r, rows):
     st = SqueezedNumberState(m, r)
     assert np.array_equal(squeezed_number._column(st, rows),
                           column_expression_form(st, rows))
-    # a later block: start past j = m // 2, as the table and fock_amplitude grow
-    start = m // 2 + rows
-    assert np.array_equal(squeezed_number._column(st, start + extra + 1, start),
-                          column_expression_form(st, start + extra + 1, start))
 
 
 @pytest.mark.parametrize("m,r,tail_eps", [
@@ -417,11 +418,51 @@ def test_photon_table_is_one_block(m, r, tail_eps, monkeypatch):
                         lambda *args: calls.append(args[1:]) or column(*args))
     st = SqueezedNumberState(m, r)
     table = photon_distribution(st, tail_eps)
-    assert len(calls) == 1 and calls[0][1:] in ((), (0,))  # (rows,) from row 0
+    assert len(calls) == 1
     # and the table is the squares of one block through the cutoff
     rows = table.meta.truncation["cutoff"] // 2 + 1
     block = column(st, rows)
     assert np.array_equal(table.probs[m % 2::2], block ** 2)
+
+
+def test_photon_table_from_the_cap_block(monkeypatch):
+    # where the rule does not fire on the sized block (here its tail is
+    # zeroed), one block through the cap follows, and no row depends on
+    # the block it is in: the table is the plain one
+    st = SqueezedNumberState(7, 1.4)
+    plain = photon_distribution(st, hard_cap=2000)
+    calls = []
+    column = squeezed_number._column
+
+    def short_first_block(state, rows):
+        col = column(state, rows)
+        if not calls:
+            col[rows // 2:] = 0.0
+        calls.append(rows)
+        return col
+    monkeypatch.setattr(squeezed_number, "_column", short_first_block)
+    table = photon_distribution(st, hard_cap=2000)
+    assert calls[1] == 1000 > calls[0] and len(calls) == 2  # n <= 1999 under the cap
+    assert np.array_equal(table.probs, plain.probs) and table.meta == plain.meta
+
+
+def test_fock_amplitude_is_one_column_from_row_0(monkeypatch):
+    calls = []
+    column = squeezed_number._column
+    monkeypatch.setattr(squeezed_number, "_column",
+                        lambda state, rows: calls.append(rows) or column(state, rows))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("fock_amplitude built a photon table")
+    monkeypatch.setattr(squeezed_number, "photon_distribution", no_table)
+    st = SqueezedNumberState(7, 1.4)
+    ns = np.array([0, 3, 640, 9])
+    amps = fock_amplitude(ns, st)
+    assert calls == [(640 - 1) // 2 + 1]
+    assert amps[0] == amps[-2] == 0.0
+    assert np.array_equal(amps[[1, 3]], column(st, 5)[[1, 4]])
+    fock_amplitude(0, st)  # no row of the parity: one row all the same
+    assert calls[1:] == [1]
 
 
 @pytest.mark.parametrize("m,r", [(7, 1.4), (300, 1.5), (1000, 1.0)])
