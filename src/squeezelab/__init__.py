@@ -29,9 +29,8 @@ from .semiclassical import (ClassicallyForbiddenError, OverlapComparison,
                             approx_p, area_weight, classical_boundary,
                             classical_depth, fit_scale, interference_phase,
                             overlap_comparison)
-from .special import hermite, hermite_reduction_check, log_factorial
-from .squeezed_coherent import (fock_amplitude_scs, momentum_wf_scs,
-                                overlap_coherent, position_wf_scs)
+from .special import hermite, log_factorial
+from .squeezed_coherent import fock_amplitude_scs, momentum_wf_scs, position_wf_scs
 from .squeezed_number import (NonConvergenceError, SqueezedNumberState,
                               coherent_amplitude, fock_amplitude, momentum_wf,
                               photon_distribution, position_wf, q_function,
@@ -46,16 +45,15 @@ __all__ = [
     "SliceRatioReport", "SqueezedNumberState", "TableMeta",
     "TransitionResult", "TrustRegionError",
     "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
-    "classical_boundary", "classical_depth", "coherent_amplitude", "default_dim",
-    "exp_series", "extract_amplitude", "extract_element", "find_maxima",
-    "fit_scale", "fock_amplitude", "fock_amplitude_scs", "hermite",
-    "hermite_reduction_check", "identity_kernel", "interference_phase",
-    "log_factorial", "maxima_count_law", "momentum_density_table",
-    "momentum_wf", "momentum_wf_scs", "momentum_zeros", "oracle_amplitude",
-    "overlap_coherent", "overlap_comparison", "photon_distribution",
-    "photon_number_kernel", "position_density_table", "position_wf",
-    "position_wf_scs", "q_function", "q_grid", "q_slice_imag",
-    "q_slice_table", "qmax_to_nmax", "series", "series_mul",
-    "slice_proportionality", "support_widening", "transformed_number_kernel",
-    "transition_scan",
+    "classical_boundary", "classical_depth", "coherent_amplitude",
+    "default_dim", "exp_series", "extract_amplitude", "extract_element",
+    "find_maxima", "fit_scale", "fock_amplitude", "fock_amplitude_scs",
+    "hermite", "identity_kernel", "interference_phase", "log_factorial",
+    "maxima_count_law", "momentum_density_table", "momentum_wf",
+    "momentum_wf_scs", "momentum_zeros", "oracle_amplitude",
+    "overlap_comparison", "photon_distribution", "photon_number_kernel",
+    "position_density_table", "position_wf", "position_wf_scs", "q_function",
+    "q_grid", "q_slice_imag", "q_slice_table", "qmax_to_nmax", "series",
+    "series_mul", "slice_proportionality", "support_widening",
+    "transformed_number_kernel", "transition_scan",
 ]

@@ -196,9 +196,13 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
     the half-log law in m.  Raises :class:`ScanError` (with the count
     trace attached) when the count never stabilizes in range, or when it
     is already stable at r_lo so the transition lies below the window.
+    Raises ``ValueError`` unless r_lo, r_hi and step are finite.
     """
     if m < 2:
         raise ValueError("transition scan needs m >= 2")
+    for name, value in (("r_lo", r_lo), ("r_hi", r_hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not (r_lo < r_hi and step > 0):
         raise ValueError("need r_lo < r_hi and a positive step")
     if not prominence >= 0:
@@ -235,7 +239,6 @@ class CorrespondenceRow:
     alpha_sq: float       # |alpha_max|^2 at the Q maximum
     n_max: int            # nearest photon-distribution maximum
     mismatch: float       # |n_max - alpha_sq| / n_max
-    mismatch_alpha: float  # |n_max - alpha_sq| / alpha_sq
 
 
 def qmax_to_nmax(state: SqueezedNumberState) -> list[CorrespondenceRow]:
@@ -254,10 +257,7 @@ def qmax_to_nmax(state: SqueezedNumberState) -> list[CorrespondenceRow]:
     for y in ys:
         a2 = y * y
         n = int(nmaxima[np.argmin(np.abs(nmaxima - a2))])
-        rows.append(CorrespondenceRow(
-            alpha_sq=a2, n_max=n,
-            mismatch=abs(n - a2) / n,
-            mismatch_alpha=abs(n - a2) / a2))
+        rows.append(CorrespondenceRow(alpha_sq=a2, n_max=n, mismatch=abs(n - a2) / n))
     return rows
 
 
@@ -290,9 +290,10 @@ def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3
     """Measure how far the Husimi slice is from a constant multiple of the
     momentum density.
 
-    The window is where the momentum density exceeds ``window_floor`` of
-    its peak.  'rescaled' (the default) uses alpha = i p / sqrt(2), the map
-    the README phase-space label alpha = (<q> + i <p>) / sqrt(2) gives;
+    The window is where the momentum density, on the p >= 0 half of
+    :func:`momentum_density_table`, exceeds ``window_floor`` of its peak.
+    'rescaled' (the default) uses alpha = i p / sqrt(2), the map the
+    README phase-space label alpha = (<q> + i <p>) / sqrt(2) gives;
     under it the slice is exactly a filtered momentum density,
     Q(i p / sqrt(2)) = (2 / sqrt(pi)) |<p| e^{-q^2/2} |m, r>|^2,
     so the oscillation zeros shift only through the filter's smoothing and
@@ -306,11 +307,9 @@ def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3
     """
     if scaling not in ("direct", "rescaled"):
         raise ValueError("scaling must be 'direct' or 'rescaled'")
-    m, r = state.m, state.r
-    step = 0.01 * math.exp(r)
-    p_max = math.exp(r) * (math.sqrt(2.0 * m + 1.0) + 4.0)
-    p = step * np.arange(0, int(p_max / step) + 1)
-    dens = np.abs(momentum_wf(p, state)) ** 2
+    table = momentum_density_table(state)
+    half = table.coords >= 0.0
+    p, dens = table.coords[half], table.probs[half]
     mask = dens > window_floor * dens.max()
     pw = p[mask]
     y = math.sqrt(2.0) * pw if scaling == "direct" else pw / math.sqrt(2.0)

@@ -12,7 +12,6 @@ which every squeezed-number-state quantity in the package is extracted.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 
@@ -21,7 +20,6 @@ import numpy as np
 from .special import hermite, log_factorial
 
 __all__ = [
-    "overlap_coherent",
     "fock_amplitude_scs",
     "position_wf_scs",
     "momentum_wf_scs",
@@ -63,23 +61,6 @@ def wave_packet_center(beta: float, r: float) -> float:
     squeezing acts on the quadrature operator as a whole.
     """
     return math.sqrt(2.0) * math.exp(-r) * beta
-
-
-def overlap_coherent(alpha: complex, beta: complex, r: float) -> complex:
-    """<alpha | beta, r>: coherent bra against squeezed coherent ket.
-
-    cosh^{-1/2}(r) exp(-|alpha|^2/2 - |beta|^2/2
-                       - tanh(r) alpha*^2 / 2 + tanh(r) beta^2 / 2
-                       + alpha* beta / cosh(r))
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    t = math.tanh(r)
-    ch = math.cosh(r)
-    expo = (-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2
-            - 0.5 * t * alpha.conjugate() ** 2 + 0.5 * t * beta ** 2
-            + alpha.conjugate() * beta / ch)
-    return cmath.exp(expo) / math.sqrt(ch)
 
 
 def fock_amplitude_scs(n: int, beta, r: float):

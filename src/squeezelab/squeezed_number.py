@@ -11,6 +11,7 @@ oscillation structure lives.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,11 +222,19 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
     resolve a smaller tail.  Each amplitude keeps its relative accuracy
     however small it is: P_14 = 2.095e-99 for m = 0, r = 1e-7, the closed
     form's value.  Raises :class:`NonConvergenceError` if the cutoff would
-    exceed ``hard_cap``, with the mass the rows through the cap reach.
+    exceed ``hard_cap``, with the mass the rows through the cap reach, and
+    ``ValueError`` unless ``hard_cap`` is a nonnegative integer.
     """
     if not 1e-14 <= tail_eps < 1.0:
         raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
                          "of the distribution cannot resolve less")
+    try:
+        cap = operator.index(hard_cap)
+    except TypeError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"hard_cap must be a nonnegative integer, got {hard_cap!r}")
+    hard_cap = cap
     m, r = state.m, state.r
     parity = m % 2
     cap_rows = (hard_cap - parity) // 2 + 1  # rows with n <= hard_cap

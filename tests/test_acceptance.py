@@ -27,10 +27,11 @@ from scipy.special import roots_hermite
 from squeezelab import analysis, genfun, verify
 from squeezelab.fock_oracle import bogoliubov_residual, oracle_amplitude
 from squeezelab.semiclassical import overlap_comparison
-from squeezelab.special import hermite_reduction_check
 from squeezelab.squeezed_number import (SqueezedNumberState, fock_amplitude,
                                         momentum_wf, photon_distribution,
                                         position_wf, q_slice_imag)
+
+from reference import hermite_reduction_check
 
 
 def _criterion(name: str, ok: bool, detail: str = ""):

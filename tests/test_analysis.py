@@ -316,6 +316,18 @@ def test_transition_scan_validation():
         transition_scan(5, 1.0, 0.5, 0.02)
 
 
+@pytest.mark.parametrize("r_lo, r_hi, step, name", [
+    (0.1, math.inf, 0.02, "r_hi"),
+    (-math.inf, 1.0, 0.02, "r_lo"),
+    (math.nan, 1.0, 0.02, "r_lo"),
+    (0.1, 1.0, math.inf, "step"),
+    (0.1, 1.0, math.nan, "step"),
+])
+def test_transition_scan_rejects_non_finite_range(r_lo, r_hi, step, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        transition_scan(3, r_lo, r_hi, step)
+
+
 # -------------------------------------------------------- correspondences
 
 def test_qmax_to_nmax_empty_for_vacuum():

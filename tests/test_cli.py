@@ -242,6 +242,21 @@ def test_transition_below_range_exits_4(capsys):
     assert "below" in err
 
 
+@pytest.mark.parametrize("bounds, name", [
+    (("--r-lo", "0.1", "--r-hi", "inf"), "r_hi"),
+    (("--r-lo=-inf", "--r-hi", "1.0"), "r_lo"),
+    (("--r-lo", "0.1", "--r-hi", "1.0", "--step", "inf"), "step"),
+    (("--r-lo", "0.1", "--r-hi", "1.0", "--step", "nan"), "step"),
+])
+def test_transition_non_finite_range_exits_2(capsys, bounds, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["transition", "--m", "3", *bounds])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: {name} must be finite" in out.err
+
+
 def test_photon_cutoff_cap_exits_4(capsys):
     # at r = 4.5 the tail mass stays above 1e-10 past n = 100 000
     code, out, err = run(capsys, "photon", "--m", "0", "--r", "4.5")

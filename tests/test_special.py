@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squeezelab.special import hermite, hermite_reduction_check, log_factorial
+from squeezelab.special import hermite, log_factorial
+
+from reference import hermite_reduction_check
 
 
 def hermite_coeffs_exact(n):

@@ -9,8 +9,8 @@ from scipy.integrate import quad
 
 from squeezelab.fock_oracle import build_squeeze, oracle_amplitude
 from squeezelab.squeezed_coherent import (fock_amplitude_scs, momentum_wf_scs,
-                                          overlap_coherent, position_wf_scs,
-                                          position_variance, wave_packet_center)
+                                          position_wf_scs, position_variance,
+                                          wave_packet_center)
 
 
 def coherent_vector(beta: complex, dim: int) -> np.ndarray:
@@ -23,6 +23,23 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
         lm = n * math.log(abs(beta)) - 0.5 * math.lgamma(n + 1) - 0.5 * abs(beta) ** 2
         out[n] = cmath.exp(complex(lm, n * cmath.phase(complex(beta))))
     return out
+
+
+def overlap_coherent(alpha: complex, beta: complex, r: float) -> complex:
+    """<alpha | beta, r>: coherent bra against squeezed coherent ket.
+
+    cosh^{-1/2}(r) exp(-|alpha|^2/2 - |beta|^2/2
+                       - tanh(r) alpha*^2 / 2 + tanh(r) beta^2 / 2
+                       + alpha* beta / cosh(r))
+    """
+    alpha = complex(alpha)
+    beta = complex(beta)
+    t = math.tanh(r)
+    ch = math.cosh(r)
+    expo = (-0.5 * abs(alpha) ** 2 - 0.5 * abs(beta) ** 2
+            - 0.5 * t * alpha.conjugate() ** 2 + 0.5 * t * beta ** 2
+            + alpha.conjugate() * beta / ch)
+    return cmath.exp(expo) / math.sqrt(ch)
 
 
 def scs_vector(beta: complex, r: float, dim: int = 220) -> np.ndarray:

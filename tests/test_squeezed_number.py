@@ -127,6 +127,20 @@ def test_photon_distribution_nonconvergence_error():
         photon_distribution(SqueezedNumberState(1, 0.0), hard_cap=0)
 
 
+@pytest.mark.parametrize("r, cap", [(0.0, -5), (0.5, -5), (0.5, 2.5), (0.5, np.int64(-5))])
+def test_photon_distribution_rejects_a_cap_that_is_no_nonnegative_integer(r, cap):
+    # r = 0 and r > 0 take different paths to the cutoff; the check comes first
+    with pytest.raises(ValueError, match="hard_cap must be a nonnegative integer"):
+        photon_distribution(SqueezedNumberState(2, r), hard_cap=cap)
+
+
+def test_photon_distribution_takes_a_numpy_integer_cap():
+    want = photon_distribution(SqueezedNumberState(7, 1.4), hard_cap=10000)
+    got = photon_distribution(SqueezedNumberState(7, 1.4), hard_cap=np.int32(10000))
+    assert np.array_equal(got.probs, want.probs)
+    assert got.meta.truncation == want.meta.truncation
+
+
 @pytest.mark.parametrize("r", [5.0, -5.0, 21.0, 400.0])
 def test_cutoff_window_past_the_cap_raises_before_any_solve(r, monkeypatch):
     # past |r| = 4.26 the window ceil(10 e^{2|r|}) alone is wider than the
