@@ -11,7 +11,7 @@ import numpy as np
 from .special import hermite
 from .squeezed_number import (SqueezedNumberState, momentum_wf,
                               photon_distribution, position_wf, q_slice_imag)
-from .tables import DistributionTable, TableMeta
+from .tables import DistributionTable
 
 __all__ = [
     "MaximaReport",
@@ -111,36 +111,33 @@ def maxima_count_law(m: int) -> int:
     return m // 2 + 1
 
 
-def _sampled_table(state: SqueezedNumberState, representation: str, density,
-                   scale: float, half_width: float) -> DistributionTable:
+def _sampled_table(density, scale: float, half_width: float) -> DistributionTable:
     """``density`` on the symmetric uniform grid over [-half_width, half_width]
     with step 0.01 ``scale``."""
     step = 0.01 * scale
     n = int(math.ceil(half_width / step))
     grid = step * np.arange(-n, n + 1)
-    meta = TableMeta(state=(state.m, state.r), representation=representation,
-                     truncation={"step": step, "half_width": half_width})
-    return DistributionTable(grid, density(grid), meta)
+    return DistributionTable(grid, density(grid))
 
 
 def position_density_table(state: SqueezedNumberState) -> DistributionTable:
     """|<q|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^{-r})."""
     scale = math.exp(-state.r)
-    return _sampled_table(state, "position", lambda q: position_wf(q, state) ** 2, scale,
+    return _sampled_table(lambda q: position_wf(q, state) ** 2, scale,
                           scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
 def momentum_density_table(state: SqueezedNumberState) -> DistributionTable:
     """|<p|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^r)."""
     scale = math.exp(state.r)
-    return _sampled_table(state, "momentum", lambda p: np.abs(momentum_wf(p, state)) ** 2,
+    return _sampled_table(lambda p: np.abs(momentum_wf(p, state)) ** 2,
                           scale, scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
 def q_slice_table(state: SqueezedNumberState) -> DistributionTable:
     """Husimi Q along the imaginary axis on a symmetric uniform grid (step 0.01 e^r)."""
     scale = math.exp(state.r)
-    return _sampled_table(state, "qslice", lambda y: q_slice_imag(y, state), scale,
+    return _sampled_table(lambda y: q_slice_imag(y, state), scale,
                           scale * math.sqrt(state.m + 0.5) + 2.0)
 
 
@@ -276,46 +273,34 @@ def support_widening(m: int, r_values) -> list[tuple[float, int]]:
 class SliceRatioReport:
     """Ratio statistics of the Husimi slice against the momentum density."""
 
-    scaling: str          # 'rescaled' evaluates Q(i p / sqrt(2)), the README convention map;
-                          # 'direct' evaluates Q(i sqrt(2) p), which contradicts it
-    window_floor: float
     n_points: int
     ratio_min: float
     ratio_max: float
     variation: float      # (max - min) / max over the window
 
 
-def slice_proportionality(state: SqueezedNumberState, window_floor: float = 1e-3,
-                          scaling: str = "rescaled") -> SliceRatioReport:
+def slice_proportionality(state: SqueezedNumberState) -> SliceRatioReport:
     """Measure how far the Husimi slice is from a constant multiple of the
     momentum density.
 
     The window is where the momentum density, on the p >= 0 half of
-    :func:`momentum_density_table`, exceeds ``window_floor`` of its peak.
-    'rescaled' (the default) uses alpha = i p / sqrt(2), the map the
-    README phase-space label alpha = (<q> + i <p>) / sqrt(2) gives;
-    under it the slice is exactly a filtered momentum density,
+    :func:`momentum_density_table`, exceeds 1e-3 of its peak.  The slice
+    is read at alpha = i p / sqrt(2), the map the README phase-space label
+    alpha = (<q> + i <p>) / sqrt(2) gives; under it the slice is exactly a
+    filtered momentum density,
     Q(i p / sqrt(2)) = (2 / sqrt(pi)) |<p| e^{-q^2/2} |m, r>|^2,
     so the oscillation zeros shift only through the filter's smoothing and
     the ratio tends to a constant as the q-width e^{-r} shrinks.  The filter
     distorts the envelope by about exp(x^2 / (e^{2r} + 1)) with
     x = p e^{-r}, a relative rate of order e^{-2r}; at m = 7 the variation
-    over the 1e-3 window is 0.84 at r = 1.4 and 0.023 at r = 3.5.
-    'direct' uses alpha = i sqrt(2) p, which contradicts the README
-    convention; under it the oscillation zeros never line up and the
-    variation stays at 1 for every r.
+    over the window is 0.84 at r = 1.4 and 0.023 at r = 3.5.
     """
-    if scaling not in ("direct", "rescaled"):
-        raise ValueError("scaling must be 'direct' or 'rescaled'")
     table = momentum_density_table(state)
     half = table.coords >= 0.0
     p, dens = table.coords[half], table.probs[half]
-    mask = dens > window_floor * dens.max()
-    pw = p[mask]
-    y = math.sqrt(2.0) * pw if scaling == "direct" else pw / math.sqrt(2.0)
-    ratio = q_slice_imag(y, state) / dens[mask]
+    mask = dens > 1e-3 * dens.max()
+    ratio = q_slice_imag(p[mask] / math.sqrt(2.0), state) / dens[mask]
     rmin, rmax = float(ratio.min()), float(ratio.max())
     return SliceRatioReport(
-        scaling=scaling, window_floor=window_floor, n_points=int(mask.sum()),
-        ratio_min=rmin, ratio_max=rmax,
+        n_points=int(mask.sum()), ratio_min=rmin, ratio_max=rmax,
         variation=(rmax - rmin) / rmax if rmax > 0 else math.inf)

@@ -5,8 +5,8 @@ Output bytes are deterministic for a fixed command line: no timestamps,
 floats printed with 17 significant digits (full double round-trip), and
 the configuration echoed into the header of every file.
 
-Exit codes: 0 success, 2 argument error, 3 verification failure,
-4 numerical non-convergence.
+Exit codes: 0 success, 2 argument error (an unwritable output path
+included), 3 verification failure, 4 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -105,6 +105,17 @@ def _slice_companion_path(out: str) -> str:
     return f"{root}_slice{ext or '.csv'}"
 
 
+def _axis(lo: float, hi: float, points: int, lo_flag: str, hi_flag: str) -> np.ndarray:
+    """``points`` evenly spaced values from ``lo`` to ``hi``; raises
+    ``ValueError``, naming the bounds' options, unless lo < hi and
+    points >= 2."""
+    if not lo < hi:
+        raise ValueError(f"{lo_flag} must be below {hi_flag}")
+    if points < 2:
+        raise ValueError(f"--points must be at least 2, got {points}")
+    return np.linspace(lo, hi, points)
+
+
 def _phase_space_state(args) -> SqueezedNumberState:
     """The state of a command built on the wave functions or the Husimi
     kernel, checked for their |r| bound before any e^{+-r} extent is taken
@@ -130,9 +141,7 @@ def cmd_quad(args) -> int:
     lim = scale * (math.sqrt(2 * state.m + 1) + 4.0)
     lo = -lim if args.min is None else args.min
     hi = lim if args.max is None else args.max
-    if not lo < hi:
-        raise ValueError("--min must be below --max")
-    coords = np.linspace(lo, hi, args.points)
+    coords = _axis(lo, hi, args.points, "--min", "--max")
     wf = momentum_wf if args.kind == "momentum" else position_wf
     amps = np.asarray(wf(coords, state), dtype=complex)
     config = {"command": "quad", "kind": args.kind, "m": args.m, "r": args.r,
@@ -179,7 +188,7 @@ def cmd_semiclassical(args) -> int:
     bound = classical_boundary(state.m, state.r)
     y_lo = args.y_min if args.y_min is not None else 0.0
     y_hi = args.y_max if args.y_max is not None else bound * 1.05
-    ys = np.linspace(y_lo, y_hi, args.points)
+    ys = _axis(y_lo, y_hi, args.points, "--y-min", "--y-max")
     exact = q_slice_imag(ys, state)
     approx = np.full(len(ys), math.nan)
     valid = classical_depth(state.m, state.r, ys) > 0.0
@@ -311,7 +320,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
     except (NonConvergenceError, analysis.ScanError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -114,7 +114,6 @@ class OverlapComparison:
     exact_maxima: np.ndarray    # exact-slice maxima on the same window
     max_offset: float           # worst |approx maximum - nearest exact maximum|
     edge_ratio: float           # scaled approx / exact at 95% of the boundary
-    diverges_at_edge: bool
 
 
 def overlap_comparison(m: int, r: float) -> OverlapComparison:
@@ -143,4 +142,4 @@ def overlap_comparison(m: int, r: float) -> OverlapComparison:
     return OverlapComparison(
         y=y, approx=approx, exact=exact, scale=scale,
         approx_maxima=am, exact_maxima=em, max_offset=max_offset,
-        edge_ratio=edge_ratio, diverges_at_edge=bool(edge_ratio > 1.5))
+        edge_ratio=edge_ratio)

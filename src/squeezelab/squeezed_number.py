@@ -276,9 +276,8 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
     table[parity::2] = probs[:cut + 1]
     truncation = {"cutoff": last, "tail_eps": tail_eps, "cumulative": float(cum[cut]),
                   "window": window}
-    meta = TableMeta(state=(m, r), representation="photon", truncation=truncation,
-                     parity=parity)
-    return DistributionTable(np.arange(last + 1), table, meta)
+    return DistributionTable(np.arange(last + 1), table,
+                             TableMeta(truncation=truncation, parity=parity))
 
 
 def position_wf(q, state: SqueezedNumberState):

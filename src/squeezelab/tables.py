@@ -11,11 +11,8 @@ __all__ = ["TableMeta", "DistributionTable", "GridSpec"]
 
 @dataclass(frozen=True)
 class TableMeta:
-    """Provenance of a sampled distribution: which state, which
-    representation, and how it was truncated or sampled."""
+    """How a distribution table was truncated, and its parity."""
 
-    state: tuple | None = None
-    representation: str = ""
     truncation: dict = field(default_factory=dict)
     parity: int | None = None  # set for photon tables whose support skips every other n
 

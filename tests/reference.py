@@ -2,7 +2,9 @@
 
 import math
 
+from squeezelab.analysis import SliceRatioReport, momentum_density_table
 from squeezelab.special import hermite
+from squeezelab.squeezed_number import q_slice_imag
 
 
 def hermite_reduction_check(m: int, x: float) -> float:
@@ -35,3 +37,22 @@ def hermite_reduction_check(m: int, x: float) -> float:
     if scale == 0.0:
         return 0.0
     return abs(lhs - rhs) / scale
+
+
+def direct_map_ratio(state) -> SliceRatioReport:
+    """The slice-to-momentum ratio under the map alpha = i sqrt(2) p, which
+    contradicts the README convention alpha = i p / sqrt(2).
+
+    Same window as :func:`squeezelab.analysis.slice_proportionality`: the
+    p >= 0 rows of :func:`momentum_density_table` above 1e-3 of its peak.
+    Under this map the oscillation zeros never line up, so the ratio hits
+    zero inside the window and the variation is 1 at every r.
+    """
+    table = momentum_density_table(state)
+    half = table.coords >= 0.0
+    p, dens = table.coords[half], table.probs[half]
+    mask = dens > 1e-3 * dens.max()
+    ratio = q_slice_imag(math.sqrt(2.0) * p[mask], state) / dens[mask]
+    rmin, rmax = float(ratio.min()), float(ratio.max())
+    return SliceRatioReport(n_points=int(mask.sum()), ratio_min=rmin, ratio_max=rmax,
+                            variation=(rmax - rmin) / rmax)

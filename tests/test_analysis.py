@@ -19,6 +19,8 @@ from squeezelab.special import hermite
 from squeezelab.squeezed_number import SqueezedNumberState, photon_distribution
 from squeezelab.tables import DistributionTable, TableMeta
 
+from reference import direct_map_ratio
+
 
 def table(coords, probs, **meta):
     return DistributionTable(np.asarray(coords), np.asarray(probs, dtype=float),
@@ -366,22 +368,16 @@ def test_support_widening_single_r():
 
 def test_slice_proportionality_report_fields():
     rep = slice_proportionality(SqueezedNumberState(7, 1.4))
-    assert rep.scaling == "rescaled"
     assert rep.n_points > 100
     assert 0.0 <= rep.variation <= 1.0
     assert rep.ratio_min >= 0.0
 
 
 def test_slice_proportionality_rescaled_map_tracks_much_better():
-    direct = slice_proportionality(SqueezedNumberState(7, 1.4), scaling="direct")
-    rescaled = slice_proportionality(SqueezedNumberState(7, 1.4), scaling="rescaled")
+    direct = direct_map_ratio(SqueezedNumberState(7, 1.4))
+    rescaled = slice_proportionality(SqueezedNumberState(7, 1.4))
     # under the direct map the ratio even hits zero inside the window;
     # the rescaled map keeps it bounded away from zero
     assert direct.ratio_min < 1e-6 * direct.ratio_max
     assert rescaled.ratio_min > 0.05 * rescaled.ratio_max
     assert rescaled.variation < direct.variation
-
-
-def test_slice_proportionality_validation():
-    with pytest.raises(ValueError):
-        slice_proportionality(SqueezedNumberState(7, 1.4), scaling="other")

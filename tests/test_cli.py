@@ -134,6 +134,34 @@ def test_qfunc_grid_and_slice_companion(tmp_path):
     assert len(slice_rows) == 2
 
 
+QFUNC_SMALL = ["qfunc", "--m", "2", "--r", "0.5", "--n-re", "3", "--n-im", "5"]
+
+
+def _companion_bytes(tmp_path):
+    # the slice file that --out alone writes beside the grid
+    tmp_path.joinpath("companion").mkdir()
+    out = tmp_path / "companion" / "q.csv"
+    assert cli.main([*QFUNC_SMALL, "--out", str(out)]) == 0
+    return (tmp_path / "companion" / "q_slice.csv").read_bytes()
+
+
+def test_qfunc_slice_out_with_grid_on_stdout(capsys, tmp_path):
+    path = tmp_path / "s.csv"
+    code, out, _ = run(capsys, *QFUNC_SMALL, "--slice-out", str(path))
+    assert code == 0
+    assert out.splitlines()[3] == "re,im,Q"
+    assert len(out.splitlines()) == 4 + 3 * 5
+    assert path.read_bytes() == _companion_bytes(tmp_path)
+
+
+def test_qfunc_slice_out_replaces_the_companion(tmp_path):
+    grid, path = tmp_path / "q.csv", tmp_path / "s.csv"
+    assert cli.main([*QFUNC_SMALL, "--out", str(grid), "--slice-out", str(path)]) == 0
+    assert grid.exists()
+    assert not (tmp_path / "q_slice.csv").exists()
+    assert path.read_bytes() == _companion_bytes(tmp_path)
+
+
 def test_qfunc_im_slow_axis_row_order(capsys):
     code, out, _ = run(capsys, "qfunc", "--m", "0", "--r", "0",
                        "--re-min", "-1", "--re-max", "1",
@@ -186,6 +214,36 @@ def test_semiclassical_empty_window_warns(capsys):
     rows = [line.split(",") for line in out.splitlines()
             if line and not line.startswith("#")][1:]
     assert all(int(r[3]) == 0 for r in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "3", "--r", "0.5", "--y-min", "2", "--y-max", "1", "--points", "3"),
+    ("--m", "3", "--r", "0.5", "--y-min", "1", "--y-max", "1", "--points", "3"),
+    # the default upper bound at (2, 0.3) is 1.05 times the boundary, 2.24
+    ("--m", "2", "--r", "0.3", "--y-min", "5", "--points", "3"),
+])
+def test_semiclassical_empty_or_inverted_range_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["semiclassical", *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "error: --y-min must be below --y-max" in out.err
+
+
+@pytest.mark.parametrize("command", [
+    ("quad", "--kind", "position", "--m", "1", "--r", "0.5"),
+    ("semiclassical", "--m", "3", "--r", "0.5"),
+])
+@pytest.mark.parametrize("points", ["0", "1", "-1"])
+def test_fewer_than_two_points_exit_2(capsys, command, points):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--points", points])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: --points must be at least 2, got {points}" in out.err
+    assert "no point of the range" not in out.err
 
 
 def test_maxima_command_photon(capsys):
@@ -377,6 +435,22 @@ def test_readme_commands_run_without_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0] 20"
     for name in ("photon.csv", "mom.csv", "q.csv", "q_slice.csv", "wkb.csv"):
         assert (tmp_path / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("command", [
+    ("photon", "--m", "1", "--r", "0.5"),
+    ("verify", "--suite", "parity"),
+])
+@pytest.mark.parametrize("bad", ["directory", "missing"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, command, bad):
+    path = tmp_path if bad == "directory" else tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--out", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and str(path) in out.err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_single_suite_passes(capsys):
