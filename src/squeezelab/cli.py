@@ -100,9 +100,40 @@ def _float_strings(column: np.ndarray) -> np.ndarray:
     return np.array(text.split("\n")[:-1], dtype=object)[inverse]
 
 
-def _slice_companion_path(out: str) -> str:
-    root, ext = os.path.splitext(out)
+def _slice_path(args) -> str | None:
+    """Where ``qfunc`` writes its Im-axis slice: ``--slice-out``, else the
+    ``*_slice`` companion of a file ``--out``, else nowhere."""
+    if args.slice_out is not None or args.out is None:
+        return args.slice_out
+    root, ext = os.path.splitext(args.out)
     return f"{root}_slice{ext or '.csv'}"
+
+
+def _check_outputs(args) -> None:
+    """Raise ``ValueError`` before any compute where a command could not
+    write its output files, or would write two of them to one path.  An
+    existing path must be a writable file; a new one needs a writable
+    directory.  Nothing is created."""
+    paths = [args.out] + ([_slice_path(args)] if args.command == "qfunc" else [])
+    paths = [p for p in paths if p is not None]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path):
+            if not os.access(path, os.W_OK):
+                raise ValueError(f"cannot write {path}: permission denied")
+            continue
+        parent = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(parent):
+            raise ValueError(f"cannot write {path}: no directory {parent}")
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise ValueError(f"cannot write {path}: directory {parent} is not writable")
+    if len(paths) == 2:
+        grid, slice_out = paths
+        if (os.path.abspath(grid) == os.path.abspath(slice_out)
+                or os.path.exists(grid) and os.path.exists(slice_out)
+                and os.path.samefile(grid, slice_out)):
+            raise ValueError(f"--slice-out {slice_out} is the --out file of the grid")
 
 
 def _axis(lo: float, hi: float, points: int, lo_flag: str, hi_flag: str) -> np.ndarray:
@@ -171,9 +202,7 @@ def cmd_qfunc(args) -> int:
     _write_table(config, columns, args.format, args.out,
                  extra_header={"row_major": "im is the slow axis"})
     # companion file: the imaginary-axis slice the oscillations live on
-    slice_out = args.slice_out
-    if slice_out is None and args.out is not None:
-        slice_out = _slice_companion_path(args.out)
+    slice_out = _slice_path(args)
     if slice_out is not None:
         slice_config = {"command": "qfunc-slice", "m": args.m, "r": args.r,
                         "im_min": grid.im_min, "im_max": grid.im_max,
@@ -319,6 +348,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")

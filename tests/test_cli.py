@@ -453,6 +453,69 @@ def test_unwritable_output_path_exits_2(capsys, tmp_path, command, bad):
     assert not (tmp_path / "missing").exists()
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("compute ran before the output path was checked")
+
+
+# each command's first compute call, patched to fail if it is reached
+COMPUTE_OF = {
+    ("photon", "--m", "1", "--r", "0.5"): (cli, "photon_distribution"),
+    ("quad", "--kind", "position", "--m", "1", "--r", "0.5"): (cli, "position_wf"),
+    ("qfunc", "--m", "1", "--r", "0.5"): (cli, "q_grid"),
+    ("semiclassical", "--m", "1", "--r", "0.5"): (cli, "q_slice_imag"),
+    ("maxima", "--representation", "photon", "--m", "1", "--r", "0.5"):
+        (cli, "photon_distribution"),
+    ("transition", "--m", "1", "--r-lo", "0.1", "--r-hi", "1.0"):
+        (cli.analysis, "transition_scan"),
+    ("verify", "--suite", "all"): (verify, "run_suites"),
+}
+
+
+@pytest.mark.parametrize("command, compute", COMPUTE_OF.items(),
+                         ids=[command[0] for command in COMPUTE_OF])
+def test_missing_output_directory_exits_2_before_compute(capsys, monkeypatch, tmp_path,
+                                                         command, compute):
+    monkeypatch.setattr(*compute, _never_called)
+    path = tmp_path / "missing" / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--out", str(path)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and str(path) in out.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_qfunc_missing_slice_directory_exits_2_before_compute(capsys, monkeypatch,
+                                                              tmp_path):
+    monkeypatch.setattr(cli, "q_grid", _never_called)
+    grid, path = tmp_path / "q.csv", tmp_path / "missing" / "s.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*QFUNC_SMALL, "--out", str(grid), "--slice-out", str(path)])
+    assert exc.value.code == 2
+    assert str(path) in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("same", ["equal", "relative", "hard link"])
+def test_qfunc_slice_out_equal_to_out_exits_2(capsys, monkeypatch, tmp_path, same):
+    # the slice would overwrite the grid: refused before any compute
+    monkeypatch.setattr(cli, "q_grid", _never_called)
+    monkeypatch.chdir(tmp_path)
+    grid = tmp_path / "q.csv"
+    slice_out = {"equal": str(grid), "relative": "./q.csv", "hard link": "s.csv"}[same]
+    if same == "hard link":
+        grid.write_text("grid\n")
+        os.link(grid, slice_out)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*QFUNC_SMALL, "--out", str(grid), "--slice-out", slice_out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --slice-out ") and "--out" in err
+    assert grid.exists() == (same == "hard link")
+    if same == "hard link":
+        assert grid.read_text() == "grid\n"
+
+
 def test_verify_single_suite_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "parity")
     assert code == 0

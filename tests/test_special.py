@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squeezelab import special, squeezed_coherent
 from squeezelab.special import hermite, log_factorial
+from squeezelab.squeezed_number import SqueezedNumberState, q_grid
+from squeezelab.tables import GridSpec
 
 from reference import hermite_reduction_check
 
@@ -136,16 +139,70 @@ hermite_arg = st.one_of(
     st.lists(hermite_complex, min_size=1, max_size=8).map(np.array))
 
 
+HERMITE_TS = [1.0, 0.0, -math.tanh(1.4) / 2, -1e-9, 0.3, -0.49]
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.sampled_from(list(range(41)) + [300, 2000]),
        x=hermite_arg,
-       t=st.sampled_from([1.0, 0.0, -math.tanh(1.4) / 2, -1e-9, 0.3, -0.49]))
+       t=st.sampled_from(HERMITE_TS))
 def test_hermite_bit_identical_to_rescaling_every_step(n, x, t):
     mant, log_scale = hermite(n, x, t)
     ref_mant, ref_log_scale = hermite_rescaled_every_step(n, x, t)
     assert np.array_equal(mant, ref_mant)
     assert np.array_equal(log_scale, ref_log_scale)
     assert type(mant) is type(ref_mant) and type(log_scale) is type(ref_log_scale)
+
+
+def _blocked_argument(shape, dtype):
+    # magnitudes up to 12 with an exact zero every 97th entry
+    rng = np.random.default_rng(math.prod(shape))
+    x = rng.uniform(-12.0, 12.0, shape)
+    if dtype is complex:
+        x = x + 1j * rng.uniform(-12.0, 12.0, shape)
+    x.reshape(-1)[::97] = 0.0
+    return x
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("shape", [
+    (special._BLOCK - 1,), (special._BLOCK,), (special._BLOCK + 1,),
+    (3 * special._BLOCK + 5,), (7, special._BLOCK // 3)])
+def test_hermite_blocks_bit_identical_to_the_whole_array(shape, dtype):
+    # each block follows the schedule of the whole argument, so every
+    # element sees the operations of the unblocked recurrence
+    x = _blocked_argument(shape, dtype)
+    for n in (0, 1, 2, 7, 300):
+        for t in HERMITE_TS:
+            mant, log_scale = hermite(n, x, t)
+            ref_mant, ref_log_scale = hermite_rescaled_every_step(n, x, t)
+            assert mant.shape == log_scale.shape == shape
+            assert mant.dtype == x.dtype
+            assert np.array_equal(mant, ref_mant)
+            assert np.array_equal(log_scale, ref_log_scale)
+
+
+def test_hermite_overflow_in_the_last_block_raises_before_any_block(monkeypatch):
+    x = np.full(3 * special._BLOCK + 5, 0.5)
+    x[-1] = -1e200
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block ran before the bound was checked")
+    monkeypatch.setattr(np, "ones_like", no_block)
+    with pytest.raises(ValueError, match=r"order 5 at max\|x\| = 1e\+200"):
+        hermite(5, x)
+
+
+def test_q_grid_bit_identical_on_the_reference_kernel(monkeypatch):
+    # the (300, 1.5) grid of the precision envelope: 136 x 292 distinct
+    # |coordinates|, five blocks of the recurrence
+    state = SqueezedNumberState(300, 1.5)
+    lim_re = math.exp(-1.5) * math.sqrt(601) + 3.0
+    lim_im = math.exp(1.5) * math.sqrt(601) + 3.0
+    grid = GridSpec(-lim_re, lim_re, -lim_im, lim_im, 161, 321)
+    blocked = q_grid(state, grid)
+    monkeypatch.setattr(squeezed_coherent, "hermite", hermite_rescaled_every_step)
+    assert np.array_equal(blocked, q_grid(state, grid))
 
 
 @pytest.mark.parametrize("n", [300, 2000])
