@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, analysis, verify
+from . import __version__
 from .semiclassical import approx_p, classical_boundary, classical_depth, fit_scale
 from .squeezed_coherent import check_squeeze
 from .squeezed_number import (TAIL_EPS, NonConvergenceError, SqueezedNumberState,
@@ -33,9 +33,9 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_NONCONVERGENCE = 4
 
-SAMPLED_TABLES = {"position": analysis.position_density_table,
-                  "momentum": analysis.momentum_density_table,
-                  "qslice": analysis.q_slice_table}
+# the names of ``verify.SUITES``, spelled out so that building the parser
+# does not import ``verify``
+SUITE_NAMES = ("parity", "normalization", "oracle", "genfun", "fourier", "transition")
 
 
 def _emit(text: str, out: str | None):
@@ -47,11 +47,31 @@ def _emit(text: str, out: str | None):
             fh.write(text)
 
 
+def _strict(obj):
+    """``obj`` with each non-finite float (nested in dicts, lists and
+    tuples) replaced by None, which JSON writes as null: RFC 8259 has no
+    NaN or Infinity."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
+
+
+def _json(obj, **kwargs) -> str:
+    """Strict JSON text of ``obj``, keys sorted; non-finite floats become
+    null."""
+    return json.dumps(_strict(obj), sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _write_table(config: dict, columns: dict, fmt: str, out: str | None,
                  extra_header: dict | None = None):
     """Emit named columns of equal length as CSV (with # header comments)
     or JSON v1, echoing ``config`` ({"command": ..., **params}) into the
-    header.
+    header.  Every JSON text, the CSV header lines included, writes a
+    non-finite float as null; the CSV body writes it as nan or inf.
 
     Integer and boolean columns print as integers, float columns with 17
     significant digits (full double round-trip).  The CSV branch formats
@@ -64,9 +84,9 @@ def _write_table(config: dict, columns: dict, fmt: str, out: str | None,
     is_int = [c.dtype.kind in "biu" for c in cols]
     if fmt == "csv":
         lines = [f"# squeezelab {__version__} schema v1",
-                 f"# config {json.dumps(config, sort_keys=True)}"]
+                 f"# config {_json(config)}"]
         if extra_header:
-            lines.append(f"# {json.dumps(extra_header, sort_keys=True)}")
+            lines.append(f"# {_json(extra_header)}")
         lines.append(",".join(columns))
         cells = [c.astype(int).astype(object) if i else _float_strings(c)
                  for c, i in zip(cols, is_int)]
@@ -74,19 +94,20 @@ def _write_table(config: dict, columns: dict, fmt: str, out: str | None,
         body = (line * len(cols[0])) % tuple(np.column_stack(cells).ravel())
         text = "\n".join(lines) + "\n" + body
     else:
-        # object dtype holds Python ints and floats, as json expects
+        # object dtype holds Python ints, floats and None, as json expects
         rows = np.column_stack([c.astype(int if i else float).astype(object)
                                 for c, i in zip(cols, is_int)])
+        rows[~np.isfinite(np.column_stack(cols).astype(float))] = None
         payload = {
             "schema": "v1",
             "generator": f"squeezelab {__version__}",
-            "config": config,
+            "config": _strict(config),
             "columns": list(columns),
             "rows": rows.tolist(),
         }
         if extra_header:
-            payload["meta"] = extra_header
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            payload["meta"] = _strict(extra_header)
+        text = json.dumps(payload, sort_keys=True, allow_nan=False, indent=1) + "\n"
     _emit(text, out)
 
 
@@ -136,10 +157,17 @@ def _check_outputs(args) -> None:
             raise ValueError(f"--slice-out {slice_out} is the --out file of the grid")
 
 
+def _require_finite(value: float, flag: str) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
+
+
 def _axis(lo: float, hi: float, points: int, lo_flag: str, hi_flag: str) -> np.ndarray:
     """``points`` evenly spaced values from ``lo`` to ``hi``; raises
-    ``ValueError``, naming the bounds' options, unless lo < hi and
-    points >= 2."""
+    ``ValueError``, naming the bounds' options, unless both are finite,
+    lo < hi and points >= 2."""
+    _require_finite(lo, lo_flag)
+    _require_finite(hi, hi_flag)
     if not lo < hi:
         raise ValueError(f"{lo_flag} must be below {hi_flag}")
     if points < 2:
@@ -192,6 +220,8 @@ def cmd_qfunc(args) -> int:
     bounds = [default if given is None else given for given, default in
               ((args.re_min, -lim_re), (args.re_max, lim_re),
                (args.im_min, -lim_im), (args.im_max, lim_im))]
+    for value, flag in zip(bounds, ("--re-min", "--re-max", "--im-min", "--im-max")):
+        _require_finite(value, flag)
     grid = GridSpec(*bounds, args.n_re, args.n_im)
     values = q_grid(state, grid)
     re, im = grid.axes()
@@ -240,12 +270,18 @@ def cmd_semiclassical(args) -> int:
 
 
 def cmd_maxima(args) -> int:
+    from . import analysis
+
     rep = args.representation
+    floor = analysis.DEFAULT_FLOOR if args.floor is None else args.floor
+    sampled = {"position": analysis.position_density_table,
+               "momentum": analysis.momentum_density_table,
+               "qslice": analysis.q_slice_table}
     table = (photon_distribution(SqueezedNumberState(args.m, args.r), args.tail_eps)
-             if rep == "photon" else SAMPLED_TABLES[rep](_phase_space_state(args)))
-    report = analysis.find_maxima(table, floor=args.floor, refine=rep != "photon")
+             if rep == "photon" else sampled[rep](_phase_space_state(args)))
+    report = analysis.find_maxima(table, floor=floor, refine=rep != "photon")
     config = {"command": "maxima", "representation": rep, "m": args.m, "r": args.r,
-              "floor": args.floor, "format": args.format}
+              "floor": floor, "format": args.format}
     _write_table(config, {"position": report.positions, "value": report.values},
                  args.format, args.out,
                  extra_header={"count": report.count})
@@ -253,8 +289,17 @@ def cmd_maxima(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    result = analysis.transition_scan(args.m, args.r_lo, args.r_hi, args.step,
-                                      prominence=args.prominence)
+    from .analysis import ScanError, transition_scan
+
+    try:
+        result = transition_scan(args.m, args.r_lo, args.r_hi, args.step,
+                                 prominence=args.prominence)
+    except ScanError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        if exc.trace:
+            sys.stderr.write("trace (r, count): "
+                             + " ".join(f"({r:.4g},{c})" for r, c in exc.trace) + "\n")
+        return EXIT_NONCONVERGENCE
     config = {"command": "transition", "m": args.m, "r_lo": args.r_lo,
               "r_hi": args.r_hi, "step": args.step, "prominence": args.prominence,
               "format": args.format}
@@ -265,8 +310,10 @@ def cmd_transition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_suites([args.suite])
-    _emit(json.dumps(report, sort_keys=True, indent=1) + "\n", args.out)
+    from .verify import run_suites
+
+    report = run_suites([args.suite])
+    _emit(_json(report, indent=1) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
 
@@ -321,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxima", help="local maxima of one representation")
     add_common(p)
     p.add_argument("--representation",
-                   choices=("photon", *SAMPLED_TABLES),
+                   choices=("photon", "position", "momentum", "qslice"),
                    required=True)
     p.add_argument("--tail-eps", type=float, default=TAIL_EPS, dest="tail_eps")
-    p.add_argument("--floor", type=float, default=analysis.DEFAULT_FLOOR)
+    p.add_argument("--floor", type=float, default=None)
     p.set_defaults(func=cmd_maxima)
 
     p = sub.add_parser("transition", help="scan r for the oscillation onset")
@@ -338,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("verify", help="run self-verification suites")
-    p.add_argument("--suite", default="all", choices=(*verify.SUITES, "all"))
+    p.add_argument("--suite", default="all", choices=(*SUITE_NAMES, "all"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
     return parser
@@ -352,11 +399,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")
-    except (NonConvergenceError, analysis.ScanError) as exc:
+    except NonConvergenceError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, analysis.ScanError) and exc.trace:
-            sys.stderr.write("trace (r, count): "
-                             + " ".join(f"({r:.4g},{c})" for r, c in exc.trace) + "\n")
         return EXIT_NONCONVERGENCE
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import find_maxima
 from .squeezed_number import SqueezedNumberState, q_slice_imag
 from .tables import DistributionTable
 
@@ -124,6 +123,8 @@ def overlap_comparison(m: int, r: float) -> OverlapComparison:
     boundary, where the approximation is meaningful; the edge ratio
     documents how it blows up near the turning point.
     """
+    from .analysis import find_maxima
+
     bound = classical_boundary(m, r)
     y = np.linspace(0.0, bound, 4002)[1:-1]
     approx = approx_p(m, r, y)

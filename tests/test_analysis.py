@@ -109,6 +109,18 @@ def test_short_table_rejected():
         find_maxima(table([0, 1], [1, 2]))
 
 
+@pytest.mark.parametrize("coords, probs", [
+    ([0, 1], [math.nan, 0.5]),
+    ([0, 1], [0.5, math.inf]),
+    ([0.0, math.inf], [0.5, 0.5]),
+    ([math.nan, 1.0], [0.5, 0.5]),
+])
+def test_non_finite_table_rejected(coords, probs):
+    # find_maxima on such a table would find no maxima and say nothing
+    with pytest.raises(ValueError, match="finite"):
+        DistributionTable(np.asarray(coords), np.asarray(probs))
+
+
 def test_photon_maxima_m7_r14():
     rep = find_maxima(photon_distribution(SqueezedNumberState(7, 1.4), 1e-10))
     assert list(rep.positions) == [1, 11, 37, 89]

@@ -11,9 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import squeezelab
 from squeezelab import cli, verify
 from squeezelab.squeezed_number import SqueezedNumberState, q_grid, q_slice_imag
 from squeezelab.tables import GridSpec
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(text):
+    """``json.loads``, failing on the NaN, Infinity and -Infinity that
+    Python's json writes by default but RFC 8259 does not allow."""
+    return json.loads(text, parse_constant=_no_constant)
 
 
 def run(capsys, *argv):
@@ -315,6 +326,25 @@ def test_transition_non_finite_range_exits_2(capsys, bounds, name):
     assert f"error: {name} must be finite" in out.err
 
 
+@pytest.mark.parametrize("command, flag", [
+    (("quad", "--kind", "position", "--m", "1", "--r", "0.5", "--points", "3"), "--min"),
+    (("quad", "--kind", "momentum", "--m", "1", "--r", "0.5", "--points", "3"), "--max"),
+    (("semiclassical", "--m", "1", "--r", "0.5", "--points", "3"), "--y-min"),
+    (("semiclassical", "--m", "1", "--r", "0.5", "--points", "3"), "--y-max"),
+    *((("qfunc", "--m", "1", "--r", "0.5", "--n-re", "3", "--n-im", "3"), flag)
+      for flag in ("--re-min", "--re-max", "--im-min", "--im-max")),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_range_bound_exits_2(capsys, command, flag, value):
+    # refused before numpy sees it (no RuntimeWarning, no Hermite error)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {flag} must be finite, got {float(value)}\n"
+
+
 def test_photon_cutoff_cap_exits_4(capsys):
     # at r = 4.5 the tail mass stays above 1e-10 past n = 100 000
     code, out, err = run(capsys, "photon", "--m", "0", "--r", "4.5")
@@ -408,6 +438,24 @@ def test_photon_commands_load_no_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ("photon", "--m", "7", "--r", "1.4", "--out", "photon.csv"),
+    ("qfunc", "--m", "7", "--r", "1.4", "--n-re", "11", "--n-im", "11", "--out", "q.csv"),
+])
+def test_photon_and_qfunc_load_only_what_they_run(tmp_path, argv):
+    # python -X importtime lists every module a `python -m squeezelab` run imports
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "squeezelab", *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "squeezelab.cli" in loaded and "squeezelab.squeezed_number" in loaded
+    unused = {f"squeezelab.{name}" for name in ("analysis", "verify", "fock_oracle", "genfun")}
+    assert loaded & unused == set()
+    assert (tmp_path / argv[-1]).stat().st_size > 0
+
+
 def test_readme_commands_run_without_scipy(tmp_path):
     # scipy is a test dependency only: with every scipy import failing, as
     # in an install without it, the seven README commands and the dense
@@ -466,7 +514,7 @@ COMPUTE_OF = {
     ("maxima", "--representation", "photon", "--m", "1", "--r", "0.5"):
         (cli, "photon_distribution"),
     ("transition", "--m", "1", "--r-lo", "0.1", "--r-hi", "1.0"):
-        (cli.analysis, "transition_scan"),
+        (squeezelab.analysis, "transition_scan"),
     ("verify", "--suite", "all"): (verify, "run_suites"),
 }
 
@@ -514,6 +562,56 @@ def test_qfunc_slice_out_equal_to_out_exits_2(capsys, monkeypatch, tmp_path, sam
     assert grid.exists() == (same == "hard link")
     if same == "hard link":
         assert grid.read_text() == "grid\n"
+
+
+def test_semiclassical_json_is_strict(capsys):
+    # the default range runs past the classical boundary, where the
+    # approximation is NaN: JSON writes it as null
+    code, out, _ = run(capsys, "semiclassical", "--m", "7", "--r", "1.4", "--format", "json")
+    assert code == 0
+    doc = strict_json(out)
+    invalid = [row for row in doc["rows"] if row[3] == 0]
+    assert invalid and all(row[1] is None for row in invalid)
+    assert all(isinstance(row[1], float) for row in doc["rows"] if row[3] == 1)
+
+
+def test_semiclassical_empty_window_header_is_strict(capsys):
+    code, out, _ = run(capsys, "semiclassical", "--m", "2", "--r", "0.3",
+                       "--points", "3", "--y-min", "40", "--y-max", "50")
+    assert code == 0
+    header = strict_json(out.splitlines()[2][len("# "):])
+    assert header["fitted_scale"] is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_maxima_infinite_floor_config_is_strict(capsys, fmt):
+    code, out, _ = run(capsys, "maxima", "--representation", "photon", "--m", "3",
+                       "--r", "0.5", "--floor", "inf", "--format", fmt)
+    assert code == 0
+    config = (strict_json(out)["config"] if fmt == "json"
+              else strict_json(out.splitlines()[1][len("# config "):]))
+    assert config["floor"] is None
+
+
+def test_maxima_default_floor_is_echoed(capsys):
+    code, out, _ = run(capsys, "maxima", "--representation", "photon", "--m", "3",
+                       "--r", "0.5")
+    assert code == 0
+    config = strict_json(out.splitlines()[1][len("# config "):])
+    assert config["floor"] == squeezelab.analysis.DEFAULT_FLOOR
+
+
+def test_verify_report_is_strict(capsys, monkeypatch):
+    check = {"name": "stub", "measured": math.nan, "limit": math.inf, "passed": False}
+    monkeypatch.setitem(verify.SUITES, "parity", lambda: [check])
+    code, out, _ = run(capsys, "verify", "--suite", "parity")
+    assert code == 3
+    got = strict_json(out)["suites"]["parity"]["checks"]
+    assert got == [{**check, "measured": None, "limit": None}]
+
+
+def test_suite_choices_are_the_verify_suites():
+    assert cli.SUITE_NAMES == tuple(verify.SUITES)
 
 
 def test_verify_single_suite_passes(capsys):
@@ -586,10 +684,12 @@ def test_write_table_matches_per_value_reference(tmp_path, columns):
     assert lines[:3] == [f"# squeezelab {cli.__version__} schema v1\n",
                          '# config {"command": "stub", "k": 1}\n', '# {"a": 1}\n']
     assert "".join(lines[3:]) == _reference_csv_body(columns)
-    doc = json.loads(json_path.read_text())
+    doc = strict_json(json_path.read_text())
     assert doc["columns"] == list(columns)
     assert doc["meta"] == {"a": 1}
-    want = _reference_rows(columns)
+    # JSON has no NaN or Infinity: a non-finite float is null
+    want = [[v if isinstance(v, int) or math.isfinite(v) else None for v in row]
+            for row in _reference_rows(columns)]
     assert json.dumps(doc["rows"]) == json.dumps(want)
     for got_row, want_row in zip(doc["rows"], want):
         assert [type(v) for v in got_row] == [type(v) for v in want_row]

@@ -655,6 +655,21 @@ def test_q_grid_shape_and_row_major_layout():
     assert vals[3, 1] == pytest.approx(q_function(re[1] + 1j * im[3], st), rel=1e-12)
 
 
+@pytest.mark.parametrize("bounds, counts, message", [
+    ((-1.0, math.inf, -2.0, 2.0), (5, 9), "re_max must be finite"),
+    ((-math.inf, 1.0, -2.0, 2.0), (5, 9), "re_min must be finite"),
+    ((-1.0, 1.0, math.nan, 2.0), (5, 9), "im_min must be finite"),
+    ((-1.0, 1.0, -2.0, math.nan), (5, 9), "im_max must be finite"),
+    ((-1.0, 1.0, -2.0, 2.0), (3.5, 9), "n_re must be an integer"),
+    ((-1.0, 1.0, -2.0, 2.0), (5, 9.0), "n_im must be an integer"),
+    ((-1.0, 1.0, -2.0, 2.0), (True, 9), "n_re must be an integer"),
+])
+def test_grid_spec_rejects_non_finite_bounds_and_non_integer_counts(bounds, counts, message):
+    with pytest.raises(ValueError, match=message):
+        GridSpec(*bounds, *counts)
+    assert GridSpec(-1.0, 1.0, -2.0, 2.0, np.int64(5), 9).axes()[0].shape == (5,)
+
+
 def test_q_grid_elliptical_ridge_axis_ratio():
     # the bright ring stretches along Im alpha by ~e^{2r} relative to Re
     st = SqueezedNumberState(7, 0.5)
