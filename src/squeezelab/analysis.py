@@ -64,10 +64,12 @@ def find_maxima(table: DistributionTable, floor: float = DEFAULT_FLOOR,
     last occupied index counts, and one row is enough.  Other tables need
     three rows.  With ``refine`` set, positions of single-point maxima on
     uniform grids are polished by a three-point parabolic fit.  Raises
-    ``ValueError`` unless ``floor >= 0``.
+    ``ValueError`` unless ``floor`` is finite and nonnegative.
     """
     if not floor >= 0:
         raise ValueError(f"floor must be nonnegative, got {floor}")
+    if not math.isfinite(floor):
+        raise ValueError(f"floor must be finite, got {floor}")
     parity = table.meta.parity is not None
     need = 1 if parity else 3
     if len(table) < need:
@@ -193,7 +195,8 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
     the half-log law in m.  Raises :class:`ScanError` (with the count
     trace attached) when the count never stabilizes in range, or when it
     is already stable at r_lo so the transition lies below the window.
-    Raises ``ValueError`` unless r_lo, r_hi and step are finite.
+    Raises ``ValueError`` unless r_lo, r_hi, step and prominence are
+    finite.
     """
     if m < 2:
         raise ValueError("transition scan needs m >= 2")
@@ -204,6 +207,8 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
         raise ValueError("need r_lo < r_hi and a positive step")
     if not prominence >= 0:
         raise ValueError(f"prominence must be nonnegative, got {prominence}")
+    if not math.isfinite(prominence):
+        raise ValueError(f"prominence must be finite, got {prominence}")
     target = m + 1
     # the 1e-9 keeps r_hi on the grid when (r_hi - r_lo) / step lands just below
     # an integer, as (0.7 - 0.1) / 0.1 = 5.999999999999999 does

@@ -7,26 +7,58 @@ the configuration echoed into the header of every file.
 
 Exit codes: 0 success, 2 argument error (an unwritable output path
 included), 3 verification failure, 4 numerical non-convergence.
+
+The module imports only the standard library at load time.  ``main``
+parses the arguments and checks the output paths and the
+``--floor``/``--prominence`` thresholds first, then binds the numerical
+names the commands call, so ``--help``, usage errors and output-path
+errors exit before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__
-from .semiclassical import approx_p, classical_boundary, classical_depth, fit_scale
-from .squeezed_coherent import check_squeeze
-from .squeezed_number import (TAIL_EPS, NonConvergenceError, SqueezedNumberState,
-                              momentum_wf, photon_distribution, position_wf,
-                              q_grid, q_slice_imag)
-from .tables import GridSpec
+
+# The names the commands call, by the module that defines them.  Each loads
+# on first access (PEP 562) and is cached in this module's globals; ``main``
+# binds them after the front-end checks.  A name already bound is kept:
+# perfbench's spans and the tests rebind ``cli.<name>``, and the commands
+# call whatever is bound there.
+_LAZY = {
+    "numpy": ("np",),
+    ".semiclassical": ("approx_p", "classical_boundary", "classical_depth", "fit_scale"),
+    ".squeezed_coherent": ("check_squeeze",),
+    ".squeezed_number": ("TAIL_EPS", "NonConvergenceError", "SqueezedNumberState",
+                         "momentum_wf", "photon_distribution", "position_wf",
+                         "q_grid", "q_slice_imag"),
+    ".tables": ("GridSpec",),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """Import the lazy ``name`` on first access and cache it."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(_MODULE_OF[name], __package__)
+    value = module if name == "np" else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def _bind_numerics() -> None:
+    """Bind every lazy name that is not bound yet."""
+    for name in _MODULE_OF:
+        if name not in globals():
+            __getattr__(name)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,6 +194,18 @@ def _require_finite(value: float, flag: str) -> None:
         raise ValueError(f"{flag} must be finite, got {value}")
 
 
+def _check_thresholds(args) -> None:
+    """Raise ``ValueError`` unless a given ``--floor`` or ``--prominence``
+    is finite and nonnegative, as ``analysis`` requires, before any compute;
+    the messages of a negative or NaN value are those of ``analysis``."""
+    for name in ("floor", "prominence"):
+        value = getattr(args, name, None)
+        if value is not None:
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            _require_finite(value, f"--{name}")
+
+
 def _axis(lo: float, hi: float, points: int, lo_flag: str, hi_flag: str) -> np.ndarray:
     """``points`` evenly spaced values from ``lo`` to ``hi``; raises
     ``ValueError``, naming the bounds' options, unless both are finite,
@@ -186,8 +230,9 @@ def _phase_space_state(args) -> SqueezedNumberState:
 
 def cmd_photon(args) -> int:
     state = SqueezedNumberState(args.m, args.r)
-    table = photon_distribution(state, args.tail_eps)
-    config = {"command": "photon", "m": args.m, "r": args.r, "tail_eps": args.tail_eps,
+    tail_eps = TAIL_EPS if args.tail_eps is None else args.tail_eps
+    table = photon_distribution(state, tail_eps)
+    config = {"command": "photon", "m": args.m, "r": args.r, "tail_eps": tail_eps,
               "format": args.format}
     _write_table(config, {"n": table.coords, "probability": table.probs},
                  args.format, args.out, extra_header=dict(table.meta.truncation))
@@ -214,6 +259,8 @@ def cmd_quad(args) -> int:
 
 
 def cmd_qfunc(args) -> int:
+    from dataclasses import asdict
+
     state = _phase_space_state(args)
     lim_re = math.exp(-state.r) * math.sqrt(2 * state.m + 1) + 3.0
     lim_im = math.exp(state.r) * math.sqrt(2 * state.m + 1) + 3.0
@@ -277,7 +324,8 @@ def cmd_maxima(args) -> int:
     sampled = {"position": analysis.position_density_table,
                "momentum": analysis.momentum_density_table,
                "qslice": analysis.q_slice_table}
-    table = (photon_distribution(SqueezedNumberState(args.m, args.r), args.tail_eps)
+    tail_eps = TAIL_EPS if args.tail_eps is None else args.tail_eps
+    table = (photon_distribution(SqueezedNumberState(args.m, args.r), tail_eps)
              if rep == "photon" else sampled[rep](_phase_space_state(args)))
     report = analysis.find_maxima(table, floor=floor, refine=rep != "photon")
     config = {"command": "maxima", "representation": rep, "m": args.m, "r": args.r,
@@ -332,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("photon", help="photon-number distribution")
     add_common(p)
-    p.add_argument("--tail-eps", type=float, default=TAIL_EPS, dest="tail_eps")
+    p.add_argument("--tail-eps", type=float, default=None, dest="tail_eps")
     p.set_defaults(func=cmd_photon)
 
     p = sub.add_parser("quad", help="quadrature probability density")
@@ -370,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--representation",
                    choices=("photon", "position", "momentum", "qslice"),
                    required=True)
-    p.add_argument("--tail-eps", type=float, default=TAIL_EPS, dest="tail_eps")
+    p.add_argument("--tail-eps", type=float, default=None, dest="tail_eps")
     p.add_argument("--floor", type=float, default=None)
     p.set_defaults(func=cmd_maxima)
 
@@ -396,6 +444,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_outputs(args)
+        _check_thresholds(args)
+        _bind_numerics()
         return args.func(args)
     except (ValueError, OSError) as exc:
         parser.exit(EXIT_USAGE, f"error: {exc}\n")

@@ -89,6 +89,15 @@ def test_transition_scan_rejects_nan_prominence():
         transition_scan(3, 0.1, 1.0, 0.02, prominence=math.nan)
 
 
+def test_infinite_thresholds_raise():
+    # an infinite floor would find no maxima, and an infinite prominence
+    # would scan the whole range for a count that cannot stabilize
+    with pytest.raises(ValueError, match="floor must be finite, got inf"):
+        find_maxima(table(range(5), [0, 1, 0, 1, 0]), floor=math.inf)
+    with pytest.raises(ValueError, match="prominence must be finite, got inf"):
+        transition_scan(3, 0.1, 1.0, 0.02, prominence=math.inf)
+
+
 def test_refine_moves_position_off_grid():
     xs = np.linspace(0, 1, 11)
     f = -(xs - 0.43) ** 2 + 1.0

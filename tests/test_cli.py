@@ -12,9 +12,13 @@ import numpy as np
 import pytest
 
 import squeezelab
-from squeezelab import cli, verify
+from squeezelab import cli, semiclassical, squeezed_number, verify
 from squeezelab.squeezed_number import SqueezedNumberState, q_grid, q_slice_imag
 from squeezelab.tables import GridSpec
+
+# ``main`` binds the numerical names of ``cli``; the tests below that call
+# its helpers without ``main`` need them bound as well
+cli._bind_numerics()
 
 
 def _no_constant(name):
@@ -286,6 +290,10 @@ def test_maxima_command_photon_unsqueezed(capsys, m):
      "squeeze parameter must be finite"),
     (("maxima", "--representation", "qslice", "--m", "1", "--r", "nan"),
      "squeeze parameter must be finite"),
+    (("maxima", "--representation", "photon", "--m", "3", "--r", "0.5", "--floor", "inf"),
+     "--floor must be finite, got inf"),
+    (("transition", "--m", "3", "--r-lo", "0.1", "--r-hi", "1.0", "--prominence", "inf"),
+     "--prominence must be finite, got inf"),
 ])
 def test_nan_arguments_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -438,21 +446,44 @@ def test_photon_commands_load_no_scipy(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+# runs ``python -m squeezelab ARGS`` and writes its exit code and the numpy
+# and squeezelab modules it loaded to REPORT; unlike ``python -X importtime``,
+# ``sys.modules`` also lists what ``importlib.import_module`` loaded
+FRESH_MAIN = """
+import json, runpy, sys
+report, sys.argv = sys.argv[1], ["squeezelab", *sys.argv[2:]]
+try:
+    runpy.run_module("squeezelab", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+loaded = [m for m in sys.modules if m.partition(".")[0] in ("numpy", "squeezelab")]
+with open(report, "w") as fh:
+    json.dump([code, sorted(loaded)], fh)
+"""
+
+
+def _fresh_main(tmp_path, argv, **env):
+    """(the finished process, the exit code of ``main``, the loaded modules)
+    of ``argv`` run in a fresh process in ``tmp_path``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    report = tmp_path / "report.json"
+    done = subprocess.run([sys.executable, "-c", FRESH_MAIN, str(report), *argv],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src, **env})
+    code, loaded = json.loads(report.read_text())
+    return done, code, loaded
+
+
 @pytest.mark.parametrize("argv", [
     ("photon", "--m", "7", "--r", "1.4", "--out", "photon.csv"),
     ("qfunc", "--m", "7", "--r", "1.4", "--n-re", "11", "--n-im", "11", "--out", "q.csv"),
 ])
 def test_photon_and_qfunc_load_only_what_they_run(tmp_path, argv):
-    # python -X importtime lists every module a `python -m squeezelab` run imports
-    src = str(Path(cli.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "squeezelab", *argv],
-                          capture_output=True, text=True, cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": src}, check=True)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-              if line.startswith("import time:")}
-    assert "squeezelab.cli" in loaded and "squeezelab.squeezed_number" in loaded
-    unused = {f"squeezelab.{name}" for name in ("analysis", "verify", "fock_oracle", "genfun")}
-    assert loaded & unused == set()
+    _, code, loaded = _fresh_main(tmp_path, argv)
+    assert code == 0
+    assert [m for m in loaded if m.startswith("squeezelab")] == [
+        "squeezelab", "squeezelab.cli", "squeezelab.semiclassical", "squeezelab.special",
+        "squeezelab.squeezed_coherent", "squeezelab.squeezed_number", "squeezelab.tables"]
     assert (tmp_path / argv[-1]).stat().st_size > 0
 
 
@@ -583,16 +614,6 @@ def test_semiclassical_empty_window_header_is_strict(capsys):
     assert header["fitted_scale"] is None
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_maxima_infinite_floor_config_is_strict(capsys, fmt):
-    code, out, _ = run(capsys, "maxima", "--representation", "photon", "--m", "3",
-                       "--r", "0.5", "--floor", "inf", "--format", fmt)
-    assert code == 0
-    config = (strict_json(out)["config"] if fmt == "json"
-              else strict_json(out.splitlines()[1][len("# config "):]))
-    assert config["floor"] is None
-
-
 def test_maxima_default_floor_is_echoed(capsys):
     code, out, _ = run(capsys, "maxima", "--representation", "photon", "--m", "3",
                        "--r", "0.5")
@@ -721,3 +742,76 @@ def test_write_table_prints_masks_as_integers(capsys):
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows == [[1], [0]]
     assert all(type(row[0]) is int for row in rows)  # not JSON true/false
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["photon", "--help"], 0),
+    (["photon", "--m", "x"], 2),
+    (["qfunc", "--m", "2", "--r", "0.5", "--out", "{missing}/q.csv"], 2),
+    (["maxima", "--representation", "photon", "--m", "3", "--r", "0.5", "--floor", "inf"], 2),
+    (["transition", "--m", "3", "--r-lo", "0.1", "--r-hi", "1", "--prominence", "inf"], 2),
+], ids=["help", "photon-help", "usage-error", "path-error", "floor-inf", "prominence-inf"])
+def test_front_end_loads_no_numerics(capsys, monkeypatch, tmp_path, argv, code):
+    # a fresh process, since this one has numpy loaded; the same command in
+    # this process gives the exit code and text to compare against
+    argv = [arg.format(missing=tmp_path / "missing") for arg in argv]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    want = capsys.readouterr()
+    done, got, loaded = _fresh_main(tmp_path, argv, COLUMNS="80")
+    assert exc.value.code == got == code
+    assert (done.returncode, done.stdout, done.stderr) == (0, want.out, want.err)
+    assert loaded == ["squeezelab", "squeezelab.cli"]
+
+
+# the ``cli`` names perfbench's spans rebind, each with its defining module
+# and a command that calls it once
+HOOKED = {
+    "photon_distribution": (squeezed_number, ["photon", "--m", "1", "--r", "0.5"]),
+    "q_grid": (squeezed_number, QFUNC_SMALL),
+    "q_slice_imag": (squeezed_number, QFUNC_SMALL),  # the slice file of --out
+    "position_wf": (squeezed_number, ["quad", "--kind", "position", "--m", "1",
+                                      "--r", "0.5", "--points", "3"]),
+    "momentum_wf": (squeezed_number, ["quad", "--kind", "momentum", "--m", "1",
+                                      "--r", "0.5", "--points", "3"]),
+    "approx_p": (semiclassical, ["semiclassical", "--m", "1", "--r", "0.5",
+                                 "--points", "5"]),
+}
+
+
+@pytest.mark.parametrize("name", HOOKED)
+def test_hooked_names_resolve_and_stay_rebound(capsys, monkeypatch, tmp_path, name):
+    module, argv = HOOKED[name]
+    for lazy in cli._MODULE_OF:
+        monkeypatch.delitem(vars(cli), lazy, raising=False)
+    assert getattr(cli, name) is getattr(module, name)
+    # with no other lazy name bound, main binds them and calls the wrapper
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return getattr(module, name)(*args, **kwargs)
+
+    monkeypatch.setitem(vars(cli), name, counting)
+    assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert calls == [name]
+    assert vars(cli)[name] is counting
+
+
+def test_default_tail_eps_is_the_library_default(capsys, monkeypatch):
+    seen = []
+
+    def photon_distribution(state, tail_eps):
+        seen.append(tail_eps)
+        return squeezed_number.photon_distribution(state, tail_eps)
+
+    monkeypatch.setattr(cli, "photon_distribution", photon_distribution)
+    code, out, _ = run(capsys, "photon", "--m", "3", "--r", "0.5")
+    assert code == 0
+    assert '"tail_eps": 1e-10' in out.splitlines()[1]
+    # maxima echoes no tail_eps, so the call shows the default it resolved
+    code, _, _ = run(capsys, "maxima", "--representation", "photon", "--m", "3", "--r", "0.5")
+    assert code == 0
+    assert seen == [squeezed_number.TAIL_EPS] * 2 == [1e-10] * 2
