@@ -16,10 +16,7 @@ none of them, and ``squeezelab.photon_distribution`` or
 ``from squeezelab import find_maxima`` loads only the module that defines
 the name and what that module imports.  A fresh ``python -m squeezelab
 photon`` process so skips ``analysis``, ``fock_oracle``, ``genfun`` and
-``verify``.  With bytecode caching off (``PYTHONDONTWRITEBYTECODE=1``) on
-a 2-core host with Python 3.11, the median of 25 fresh processes fell
-from 143 to 133 ms for that command, and from 130 to 41 ms for a bare
-``import squeezelab``, which no longer imports numpy.
+``verify``, and a bare ``import squeezelab`` does not import numpy.
 """
 
 import importlib
@@ -50,26 +47,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = (*_EXPORTS, "cli", "verify")
 
-__all__ = [
-    "__version__",
-    "ClassicallyForbiddenError", "CorrespondenceRow",
-    "DistributionTable", "FockMatrix", "GridSpec", "MaximaReport",
-    "NonConvergenceError", "OverlapComparison", "ScanError",
-    "SliceRatioReport", "SqueezedNumberState", "TableMeta",
-    "TransitionResult", "TrustRegionError",
-    "approx_p", "area_weight", "bogoliubov_residual", "build_squeeze",
-    "classical_boundary", "classical_depth", "coherent_amplitude",
-    "default_dim", "exp_series", "extract_amplitude", "extract_element",
-    "find_maxima", "fit_scale", "fock_amplitude", "fock_amplitude_scs",
-    "hermite", "identity_kernel", "interference_phase", "log_factorial",
-    "maxima_count_law", "momentum_density_table", "momentum_wf",
-    "momentum_wf_scs", "momentum_zeros", "oracle_amplitude",
-    "overlap_comparison", "photon_distribution", "photon_number_kernel",
-    "position_density_table", "position_wf", "position_wf_scs", "q_function",
-    "q_grid", "q_slice_imag", "q_slice_table", "qmax_to_nmax", "series",
-    "series_mul", "slice_proportionality", "support_widening",
-    "transformed_number_kernel", "transition_scan",
-]
+__all__ = ["__version__", *_MODULE_OF]
 
 
 def __getattr__(name):

@@ -50,7 +50,7 @@ class SqueezedNumberState:
     r: float
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or self.m < 0:
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 0:
             raise ValueError("photon index m must be a nonnegative integer")
         if not math.isfinite(self.r):
             raise ValueError("squeeze parameter must be finite")

@@ -631,6 +631,21 @@ def test_verify_report_is_strict(capsys, monkeypatch):
     assert got == [{**check, "measured": None, "limit": None}]
 
 
+def test_verify_nan_route_exits_3_with_null(capsys, monkeypatch):
+    # a NaN from the Jacobi route at one state after the first
+    jacobi, bad = verify.fock_amplitude, SqueezedNumberState(5, 0.973)
+    monkeypatch.setattr(verify, "fock_amplitude", lambda ns, state: jacobi(ns, state) * (
+        math.nan if state == bad else 1.0))
+    code, out, _ = run(capsys, "verify", "--suite", "oracle")
+    assert code == 3
+    doc = strict_json(out)
+    assert not doc["passed"] and not doc["suites"]["oracle"]["passed"]
+    checks = {c["name"]: c for c in doc["suites"]["oracle"]["checks"]}
+    assert checks["Jacobi recurrence vs oracle column"] == {
+        "name": "Jacobi recurrence vs oracle column", "measured": None, "limit": 1e-8,
+        "passed": False}
+
+
 def test_suite_choices_are_the_verify_suites():
     assert cli.SUITE_NAMES == tuple(verify.SUITES)
 

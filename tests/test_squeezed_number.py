@@ -858,3 +858,11 @@ def test_state_validation():
         SqueezedNumberState(-1, 0.5)
     with pytest.raises(ValueError):
         SqueezedNumberState(2, math.nan)
+
+
+@pytest.mark.parametrize("m", [True, False, np.bool_(True)])
+def test_state_rejects_a_bool_photon_index(m):
+    # a bool is an int to Python, but no photon index; GridSpec's point
+    # counts reject it the same way
+    with pytest.raises(ValueError, match="photon index m must be a nonnegative integer"):
+        SqueezedNumberState(m, 0.5)

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import squeezelab
-from squeezelab import fock_oracle, verify
+from squeezelab import fock_oracle, genfun, verify
 from squeezelab.squeezed_number import SqueezedNumberState, photon_distribution
 
 
@@ -93,3 +94,86 @@ def test_oracle_basis_grows_until_the_columns_pass(monkeypatch):
     dim = math.ceil(1.25 * raised[-1])
     assert cols.shape == (dim // 2, 13)
     assert np.array_equal(cols, oracle(np.arange(dim // 2)[:, None], np.arange(13), 0.973, dim))
+
+
+@pytest.mark.parametrize("errors", [
+    math.nan,
+    [1e-16, math.nan, 2e-16],
+    np.array([[0.0, 1e-16], [math.nan, 0.0]]),
+    [np.zeros(3), np.array([0.0, math.nan, 0.0]), np.zeros(3)],
+])
+def test_check_measures_a_nan_anywhere(errors):
+    check = verify._check("stub", errors, 1.0)
+    assert math.isnan(check["measured"]) and check["passed"] is False
+
+
+def test_check_measures_the_largest_error():
+    check = verify._check("stub", [np.array([1e-16, 3e-9]), np.array([2e-9, 0.0])], 1e-8)
+    assert check == {"name": "stub", "measured": 3e-9, "limit": 1e-8, "passed": True}
+
+
+def _at(m, r):
+    """A test on a call's arguments: true when one is the state (m, r)."""
+    target = SqueezedNumberState(m, r)
+    return lambda *args: any(isinstance(a, SqueezedNumberState) and a == target for a in args)
+
+
+def _nan_from(route, hit):
+    """``route`` with its answer made NaN on the calls where ``hit`` holds."""
+    def poisoned(*args, **kwargs):
+        out = route(*args, **kwargs)
+        if not hit(*args):
+            return out
+        if hasattr(out, "probs"):  # a photon table, which itself rejects NaN
+            return types.SimpleNamespace(probs=out.probs * math.nan, meta=out.meta)
+        return out * math.nan
+    return poisoned
+
+
+JACOBI_ORACLE = "Jacobi recurrence vs oracle column"
+SERIES_ORACLE = "series extraction vs oracle column"
+JACOBI_SERIES = "Jacobi recurrence vs series extraction"
+EXTRACTION = "extraction matches closed forms"
+FOURIER = "momentum wf is the Fourier transform of position wf"
+
+# (suite, module, route, the calls it answers with NaN, the checks that must
+# fail): each NaN lands at a state after the first of every check it reaches
+NAN_ROUTES = [
+    ("normalization", verify, "photon_distribution", _at(1, 1.4),
+     {"photon distributions sum to 1"}),
+    ("normalization", verify, "position_wf", _at(1, 1.4), {"position densities integrate to 1"}),
+    ("normalization", verify, "momentum_wf", _at(1, 1.4), {"momentum densities integrate to 1"}),
+    ("normalization", verify, "coherent_amplitude_grid", _at(1, 1.4),
+     {"Husimi functions integrate to 1"}),
+    ("normalization", verify, "position_wf_scs", lambda q, beta, r: r == 1.4,
+     {"quadrature variances match e^{+-2r}/2"}),
+    ("oracle", verify, "fock_amplitude", _at(5, 0.973), {JACOBI_ORACLE, JACOBI_SERIES}),
+    ("oracle", verify, "fock_amplitude", _at(100, 0.5),
+     {"Jacobi recurrence vs oracle column at (60, 1), (100, 0.5), (40, 2)"}),
+    ("oracle", fock_oracle, "oracle_amplitude", lambda n, m, r, dim=None: r == 0.973,
+     {JACOBI_ORACLE, SERIES_ORACLE, "oracle columns are orthonormal"}),
+    ("oracle", verify, "_oracle_columns", lambda ms, r: list(ms) == [100],
+     {"Jacobi recurrence vs oracle column at (60, 1), (100, 0.5), (40, 2)"}),
+    ("oracle", genfun, "extract_amplitude", _at(5, 0.973), {SERIES_ORACLE, JACOBI_SERIES}),
+    ("genfun", verify, "position_wf", _at(5, 0.973), {EXTRACTION}),
+    ("genfun", verify, "momentum_wf", _at(5, 0.973), {EXTRACTION}),
+    ("genfun", verify, "coherent_amplitude", _at(5, 0.973), {EXTRACTION}),
+    ("genfun", genfun, "extract_amplitude", _at(5, 0.973), {EXTRACTION}),
+    ("genfun", genfun, "extract_element", lambda n, m, kernel: (n, m) == (3, 3),
+     {"identity kernel gives Kronecker delta", "squeezed number kernel gives m delta",
+      "photon number kernel vs oracle sandwich"}),
+    ("fourier", verify, "position_wf", _at(3, 1.5), {FOURIER}),
+    ("fourier", verify, "momentum_wf", _at(3, 1.5), {FOURIER}),
+]
+
+
+@pytest.mark.parametrize("suite, module, route, hit, failing", NAN_ROUTES,
+                         ids=[f"{c[0]}-{c[2]}-{i}" for i, c in enumerate(NAN_ROUTES)])
+def test_a_nan_at_a_later_state_fails_its_checks(monkeypatch, suite, module, route, hit,
+                                                 failing):
+    # a running maximum by Python's max would drop the NaN, since
+    # max(1e-15, nan) is 1e-15
+    monkeypatch.setattr(module, route, _nan_from(getattr(module, route), hit))
+    checks = verify.run_suites([suite])["suites"][suite]["checks"]
+    assert {c["name"] for c in checks if not c["passed"]} == failing
+    assert all(math.isnan(c["measured"]) for c in checks if c["name"] in failing)
