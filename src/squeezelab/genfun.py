@@ -8,6 +8,9 @@ inside every closed form of :mod:`squeezed_coherent`, leaving an entire
 function of beta; all kernels here are built in that cancelled form.
 Coefficients are computed by exact truncated-series arithmetic, never by
 finite differences, so extraction carries no differentiation error at all.
+The 'fock' kernel comes from a three-term recurrence in n whose values
+are bounded amplitudes; its error has no stated bound and grows with m
+(README).
 
 The two-label generalization recovers operator matrix elements
 <n, r| R |m, r> as sqrt(n! m!) times the conj(alpha)^n beta^m coefficient
@@ -19,14 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from typing import Callable
 
 import numpy as np
 
 from .special import log_factorial
-from .squeezed_coherent import R_EPS
-from .squeezed_number import NonConvergenceError, SqueezedNumberState
+from .squeezed_number import SqueezedNumberState
 
 __all__ = [
     "series",
@@ -47,11 +48,14 @@ def series(terms: dict, shape) -> np.ndarray:
     multiplies beta^j); a 2-d array of shape (order_a + 1, order_b + 1)
     holds one in conj(alpha) and beta (entry [i, j] multiplies
     conj(alpha)^i beta^j).  ``terms`` maps a power (an int, or an (i, j)
-    pair) to its coefficient; powers past the truncation are dropped.
+    pair) to its coefficient; powers past the truncation are dropped, and
+    a negative power raises ValueError.
     """
     out = np.zeros(shape, dtype=complex)
     for power, value in terms.items():
         power = power if isinstance(power, tuple) else (power,)
+        if min(power) < 0:
+            raise ValueError(f"series power must be nonnegative, not {power!r}")
         if all(p < n for p, n in zip(power, out.shape)):
             out[power] = value
     return out
@@ -92,32 +96,31 @@ def exp_series(p: np.ndarray) -> np.ndarray:
     return g
 
 
-def _fock_kernel(n: int, r: float, order: int) -> np.ndarray:
-    """Cancelled generating kernel of <n | beta, r> as a series in beta.
+def _index(value, name: str) -> int:
+    """value as a nonnegative int, or ValueError naming it (a bool too)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return int(value)
 
-    Written with integer powers of sinh and cosh,
 
-        1/sqrt(2^n n! cosh r) * exp(tanh(r) beta^2 / 2)
-          * sum_k (-1)^k n!/(k! (n-2k)!) 2^{(n-2k)/2}
-                  sinh^k(r) cosh^{k-n}(r) beta^{n-2k},
+def _fock_kernel(n: int, r: float, order: int) -> list:
+    """Beta coefficients 0..order of f_n, the cancelled generating kernel
+    of <n | beta, r> over sech^{1/2} r: sqrt(n!) times the z^n coefficient
+    of exp(tanh(r) beta^2/2 + z beta/cosh r - tanh(r) z^2/2), the z side of
+    the two-label kernel.  It runs the recurrence
 
-    which is branch-free in r and reduces to beta^n/sqrt(n!) at r = 0.
+        f_k = (beta f_{k-1} / cosh r - tanh r sqrt(k-1) f_{k-2}) / sqrt(k)
+
+    from f_0 = exp(tanh(r) beta^2 / 2); at r = 0 it gives beta^n / sqrt(n!).
     """
-    if abs(r) < R_EPS:
-        return series({n: math.exp(-0.5 * log_factorial(n))}, order + 1)
-    sh, ch, th = math.sinh(r), math.cosh(r), math.tanh(r)
-    poly = np.zeros(order + 1, dtype=complex)
-    for k in range(n // 2 + 1):
-        deg = n - 2 * k
-        if deg > order:
-            continue
-        logmag = (log_factorial(n) - log_factorial(k) - log_factorial(deg)
-                  + 0.5 * deg * math.log(2.0)
-                  + k * math.log(abs(sh)) + (k - n) * math.log(ch))
-        sign = (-1) ** (k % 2) * (1 if sh > 0 else -1) ** (k % 2)
-        poly[deg] = sign * math.exp(logmag)
-    pref = math.exp(-0.5 * (n * math.log(2.0) + log_factorial(n) + math.log(ch)))
-    return pref * series_mul(poly, exp_series(series({2: 0.5 * th}, order + 1)))
+    th, ch = math.tanh(r), math.cosh(r)
+    prev, cur = [0.0] * (order + 1), exp_series(series({2: 0.5 * th}, order + 1)).real.tolist()
+    for k in range(1, n + 1):
+        a, b = 1.0 / (ch * math.sqrt(k)), th * math.sqrt((k - 1) / k)
+        prev, cur = cur, [a * x - b * y for x, y in zip([0.0] + cur[:-1], prev)]
+    return cur
 
 
 def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
@@ -126,24 +129,17 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
     kind selects the bra: 'fock' (value = photon index), 'position'
     (value = q), 'momentum' (value = p) or 'coherent' (value = alpha).
     Builds e^{|beta|^2/2} <bra | beta, r> as a series of order m and
-    returns sqrt(m!) times its beta^m coefficient, or raises
-    :class:`NonConvergenceError` where a 'fock' kernel overflows float64.
+    returns sqrt(m!) times its beta^m coefficient.  Raises ValueError for
+    a photon index that is no nonnegative integer (a bool included) and
+    for a non-finite q, p or alpha.
     """
     m, r = state.m, state.r
     size = m + 1
+    if kind in ("position", "momentum", "coherent") and not cmath.isfinite(complex(value)):
+        raise ValueError(f"{kind} value must be finite, not {value!r}")
     if kind == "fock":
-        try:
-            n = operator.index(value)
-        except TypeError:
-            raise ValueError(f"photon index must be an integer, not {value!r}") from None
-        if n < 0:
-            raise ValueError("photon index must be nonnegative")
-        try:
-            kern = _fock_kernel(n, r, m)
-        except OverflowError:
-            raise NonConvergenceError(
-                f"series kernel of <n={n} | m={m}, r={r}> overflows float64") from None
-        pref = 1.0 + 0j
+        kern = _fock_kernel(_index(value, "photon index"), r, m)
+        pref = 1.0 / math.sqrt(math.cosh(r))
     elif kind == "position":
         q = float(value)
         kern = exp_series(series({1: math.sqrt(2.0) * math.exp(r) * q, 2: -0.5}, size))
@@ -172,8 +168,7 @@ def extract_element(n: int, m: int,
     e^{|alpha|^2/2} e^{|beta|^2/2} <alpha, r| R |beta, r> in conj(alpha)
     and beta; the result is sqrt(n! m!) times its (n, m) coefficient.
     """
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
+    n, m = _index(n, "row index n"), _index(m, "column index m")
     kern = op_kernel(n, m)
     return complex(math.exp(0.5 * (log_factorial(n) + log_factorial(m))) * kern[n, m])
 

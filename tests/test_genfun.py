@@ -12,10 +12,8 @@ from squeezelab.fock_oracle import default_dim, oracle_amplitude
 from squeezelab.genfun import (exp_series, extract_amplitude, extract_element,
                                identity_kernel, photon_number_kernel, series,
                                series_mul, transformed_number_kernel)
-from squeezelab.squeezed_number import (NonConvergenceError,
-                                        SqueezedNumberState,
-                                        coherent_amplitude, fock_amplitude,
-                                        momentum_wf, position_wf)
+from squeezelab.squeezed_number import (SqueezedNumberState, coherent_amplitude,
+                                        fock_amplitude, momentum_wf, position_wf)
 
 R_SET = (0.3, 0.973, 1.4)
 
@@ -45,6 +43,12 @@ def test_exp_handles_constant_term():
     s = exp_series(series({0: 0.3, 1: 1.0}, 4))
     scale = math.exp(0.3)
     assert np.allclose(s, [scale, scale, scale / 2, scale / 6], rtol=1e-14)
+
+
+@pytest.mark.parametrize("power, shape", [(-1, 4), ((0, -1), (3, 3)), ((-2, 1), (3, 3))])
+def test_series_refuses_a_negative_power(power, shape):
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        series({power: 5.0}, shape)
 
 
 def test_series_multiplication_truncates():
@@ -156,17 +160,47 @@ def test_extract_fock_matches_closed_form(r):
 
 def test_extract_fock_refuses_a_non_integer_index():
     st = SqueezedNumberState(7, 1.4)
-    for n in (3.9, 3.0, "3"):
+    for n in (3.9, 3.0, "3", True):
         with pytest.raises(ValueError, match="integer"):
             extract_amplitude("fock", n, st)
     assert extract_amplitude("fock", np.int64(3), st) == extract_amplitude("fock", 3, st)
 
 
-def test_extract_fock_overflow_raises_package_error():
+def test_extract_fock_far_rows_match_jacobi():
+    # the z recurrence stays in range where a log-magnitude alternating sum
+    # of the same coefficient overflows float64 (from n = 272 at (12, 1.4))
     st = SqueezedNumberState(7, 1.4)
-    for n in (279, 400):
-        with pytest.raises(NonConvergenceError, match=f"n={n} \\| m=7, r=1.4"):
-            extract_amplitude("fock", n, st)
+    for n in (279, 401, 421):
+        got = extract_amplitude("fock", n, st)
+        assert got.real == pytest.approx(fock_amplitude(n, st), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("m, bound", [(20, 5e-14), (30, 2e-11)])
+def test_extract_fock_column_past_the_tested_range(m, bound):
+    # measured 4.7e-15 at (20, 1) and 1.8e-12 at (30, 1) over n < 200
+    st = SqueezedNumberState(m, 1.0)
+    ns = np.arange(200)
+    got = np.array([extract_amplitude("fock", int(n), st).real for n in ns])
+    assert np.abs(got - fock_amplitude(ns, st)).max() < bound
+
+
+@pytest.mark.parametrize("r", [1e-13, -1e-13])
+def test_extract_fock_tiny_squeeze_matches_oracle(r):
+    # measured 1.3e-15; treating |r| < 1e-12 as r = 0 would leave 5.7e-13
+    ns = np.arange(13)
+    for m in ns:
+        st = SqueezedNumberState(int(m), r)
+        got = np.array([extract_amplitude("fock", int(n), st).real for n in ns])
+        assert np.abs(got - oracle_amplitude(ns, m, r)).max() < 1e-14
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("position", math.nan), ("position", math.inf), ("momentum", -math.inf),
+    ("momentum", math.nan), ("coherent", complex(math.nan, 0.0)),
+    ("coherent", complex(0.5, math.inf)), ("coherent", math.inf)])
+def test_extract_refuses_a_non_finite_value(kind, value):
+    with pytest.raises(ValueError, match=f"{kind} value must be finite"):
+        extract_amplitude(kind, value, SqueezedNumberState(3, 0.5))
 
 
 @pytest.mark.parametrize("r", R_SET)
@@ -231,6 +265,21 @@ def test_extraction_is_linear_in_the_kernel():
 
 
 # --------------------------------------------------------- double extraction
+
+@pytest.mark.parametrize("n, m, message", [
+    (2.0, 1, "row index n must be an integer"), (1, 2.0, "column index m must be an integer"),
+    (True, 1, "row index n must be an integer"), (0, False, "column index m must be an integer"),
+    ("1", 1, "row index n must be an integer"), (-1, 0, "row index n must be nonnegative"),
+    (0, -1, "column index m must be nonnegative")])
+def test_extract_element_refuses_a_bad_index(n, m, message):
+    with pytest.raises(ValueError, match=message):
+        extract_element(n, m, identity_kernel)
+
+
+def test_extract_element_takes_numpy_integers():
+    assert extract_element(np.int64(2), np.int32(2), identity_kernel) == \
+        extract_element(2, 2, identity_kernel)
+
 
 def test_extract_element_identity_is_orthonormality():
     for n in range(7):
