@@ -8,6 +8,12 @@ inside every closed form of :mod:`squeezed_coherent`, leaving an entire
 function of beta; all kernels here are built in that cancelled form.
 Coefficients are computed by exact truncated-series arithmetic, never by
 finite differences, so extraction carries no differentiation error at all.
+One kernel serves a whole block: a series of order m holds every state
+index j <= m, and the 'fock' recurrence passes through every row k <= n
+on its way to row n.  :func:`fock_block`, :func:`amplitude_block` and
+:func:`element_block` return those blocks, each entry bit for bit the same
+whatever the block's size; :func:`extract_amplitude` and
+:func:`extract_element` read one entry of one.
 The 'fock' kernel comes from a three-term recurrence in n whose values
 are bounded amplitudes; its error has no stated bound and grows with m
 (README).
@@ -27,12 +33,16 @@ from typing import Callable
 import numpy as np
 
 from .special import log_factorial
+from .squeezed_coherent import check_squeeze
 from .squeezed_number import SqueezedNumberState
 
 __all__ = [
     "series",
     "series_mul",
     "exp_series",
+    "fock_block",
+    "amplitude_block",
+    "element_block",
     "extract_amplitude",
     "extract_element",
     "identity_kernel",
@@ -106,39 +116,66 @@ def _index(value, name: str) -> int:
 
 
 def _fock_kernel(n: int, r: float, order: int) -> list:
-    """Beta coefficients 0..order of f_n, the cancelled generating kernel
-    of <n | beta, r> over sech^{1/2} r: sqrt(n!) times the z^n coefficient
-    of exp(tanh(r) beta^2/2 + z beta/cosh r - tanh(r) z^2/2), the z side of
-    the two-label kernel.  It runs the recurrence
+    """Beta coefficients 0..order of f_k for every k <= n, the cancelled
+    generating kernel of <k | beta, r> over sech^{1/2} r: sqrt(k!) times
+    the z^k coefficient of exp(tanh(r) beta^2/2 + z beta/cosh r -
+    tanh(r) z^2/2), the z side of the two-label kernel.  It runs the
+    recurrence
 
         f_k = (beta f_{k-1} / cosh r - tanh r sqrt(k-1) f_{k-2}) / sqrt(k)
 
-    from f_0 = exp(tanh(r) beta^2 / 2); at r = 0 it gives beta^n / sqrt(n!).
+    from f_0 = exp(tanh(r) beta^2 / 2); at r = 0 it gives beta^k / sqrt(k!).
+    Coefficient j of f_k takes the same operations at any order >= j.
     """
     th, ch = math.tanh(r), math.cosh(r)
     prev, cur = [0.0] * (order + 1), exp_series(series({2: 0.5 * th}, order + 1)).real.tolist()
+    rows = [cur]
     for k in range(1, n + 1):
         a, b = 1.0 / (ch * math.sqrt(k)), th * math.sqrt((k - 1) / k)
         prev, cur = cur, [a * x - b * y for x, y in zip([0.0] + cur[:-1], prev)]
-    return cur
+        rows.append(cur)
+    return rows
 
 
-def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
-    """Amplitude of |m, r> in one representation, via series extraction.
+def _extracted(kern, pref) -> list:
+    """sqrt(j!) kern[j] pref for every j: the amplitudes from a kernel's
+    beta coefficients, in Python scalar arithmetic."""
+    return [math.exp(0.5 * log_factorial(j)) * k * pref for j, k in enumerate(kern)]
+
+
+def fock_block(n: int, r: float, m: int) -> np.ndarray:
+    """<k | j, r> for every k <= n and j <= m as a real (n + 1, m + 1)
+    array, from one pass of the kernel recurrence.
+
+    Entry [k, j] is bit for bit the same whatever n >= k and m >= j are.
+    Raises ValueError unless n and m are nonnegative integers (a bool is
+    none) and for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX`.
+    """
+    n, m = _index(n, "row index n"), _index(m, "column index m")
+    check_squeeze(r)
+    pref = 1.0 / math.sqrt(math.cosh(r))
+    return np.array([_extracted(f, pref) for f in _fock_kernel(n, r, m)])
+
+
+def amplitude_block(kind: str, value, r: float, m: int) -> np.ndarray:
+    """<bra | j, r> for every j <= m as a complex array, from one kernel.
 
     kind selects the bra: 'fock' (value = photon index), 'position'
     (value = q), 'momentum' (value = p) or 'coherent' (value = alpha).
     Builds e^{|beta|^2/2} <bra | beta, r> as a series of order m and
-    returns sqrt(m!) times its beta^m coefficient.  Raises ValueError for
-    a photon index that is no nonnegative integer (a bool included) and
-    for a non-finite q, p or alpha.
+    scales its beta^j coefficient by sqrt(j!); a 'fock' row is row
+    ``value`` of :func:`fock_block`.  Entry j is bit for bit the same
+    whatever m >= j is.  Raises ValueError for a photon index that is no
+    nonnegative integer (a bool included), for a non-finite q, p or alpha,
+    and for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX`.
     """
-    m, r = state.m, state.r
+    m = _index(m, "state index m")
+    check_squeeze(r)
     size = m + 1
     if kind in ("position", "momentum", "coherent") and not cmath.isfinite(complex(value)):
         raise ValueError(f"{kind} value must be finite, not {value!r}")
     if kind == "fock":
-        kern = _fock_kernel(_index(value, "photon index"), r, m)
+        kern = _fock_kernel(_index(value, "photon index"), r, m)[-1]
         pref = 1.0 / math.sqrt(math.cosh(r))
     elif kind == "position":
         q = float(value)
@@ -156,21 +193,37 @@ def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
                 / math.sqrt(ch))
     else:
         raise ValueError(f"unknown representation kind {kind!r}")
-    return complex(math.exp(0.5 * log_factorial(m)) * kern[m] * pref)
+    return np.array(_extracted(kern, pref), dtype=complex)
 
 
-def extract_element(n: int, m: int,
-                    op_kernel: Callable[[int, int], np.ndarray]) -> complex:
-    """<n, r| R |m, r> from a doubly-cancelled operator kernel, which
+def extract_amplitude(kind: str, value, state: SqueezedNumberState) -> complex:
+    """Amplitude of |m, r> in one representation, via series extraction:
+    entry m of :func:`amplitude_block` at the state's r.
+    """
+    return complex(amplitude_block(kind, value, state.r, state.m)[state.m])
+
+
+def element_block(n: int, m: int, op_kernel: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """<k, r| R |j, r> for every k <= n and j <= m as a complex (n + 1, m + 1)
+    array, from one call of a doubly-cancelled operator kernel, which
     carries its own r.
 
     op_kernel(order_a, order_b) must return the 2-d series of
     e^{|alpha|^2/2} e^{|beta|^2/2} <alpha, r| R |beta, r> in conj(alpha)
-    and beta; the result is sqrt(n! m!) times its (n, m) coefficient.
+    and beta; entry [k, j] is sqrt(k! j!) times its (k, j) coefficient.
+    Raises ValueError unless n and m are nonnegative integers (a bool is
+    none).
     """
     n, m = _index(n, "row index n"), _index(m, "column index m")
     kern = op_kernel(n, m)
-    return complex(math.exp(0.5 * (log_factorial(n) + log_factorial(m))) * kern[n, m])
+    return np.array([[math.exp(0.5 * (log_factorial(k) + log_factorial(j))) * kern[k, j]
+                      for j in range(m + 1)] for k in range(n + 1)], dtype=complex)
+
+
+def extract_element(n: int, m: int,
+                    op_kernel: Callable[[int, int], np.ndarray]) -> complex:
+    """<n, r| R |m, r>: entry [n, m] of :func:`element_block`."""
+    return complex(element_block(n, m, op_kernel)[n, m])
 
 
 def identity_kernel(order_a: int, order_b: int) -> np.ndarray:
@@ -202,8 +255,10 @@ def photon_number_kernel(r: float) -> Callable[[int, int], np.ndarray]:
                   - sinh cosh (b^2 + b^dag^2),
 
     and each b acts as beta on the ket, each b^dag as conj(alpha) on the
-    bra, all multiplying exp(conj(alpha) beta).
+    bra, all multiplying exp(conj(alpha) beta).  Raises ValueError for
+    |r| past :data:`~squeezelab.squeezed_coherent.R_MAX`.
     """
+    check_squeeze(r)
     sh, ch = math.sinh(r), math.cosh(r)
 
     def build(order_a: int, order_b: int) -> np.ndarray:

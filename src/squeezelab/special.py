@@ -62,12 +62,14 @@ paper's states the pair then needs rescaling only every few dozen steps.
 """
 
 
-def hermite(n: int, x, t: float = 1.0):
+def hermite(n: int, x, t=1.0):
     """t^{n/2} H_n(x / sqrt t) as (mantissa, log_scale), value = mantissa * exp(log_scale).
 
     Vectorized over a real or complex array ``x`` (arrays shaped like x
     come back; a scalar x gives Python numbers); t = 1 gives the
-    physicists' H_n(x).  Runs H_{k+1} = 2 x H_k - 2 k t H_{k-1}, which
+    physicists' H_n(x).  ``t`` is a float or a real array that broadcasts
+    against x, so one call can run many t at once; the output then has
+    the broadcast shape.  Runs H_{k+1} = 2 x H_k - 2 k t H_{k-1}, which
     stays polynomial in t, so t = 0 gives (2x)^n and t < 0 needs no
     complex square root.
 
@@ -76,20 +78,22 @@ def hermite(n: int, x, t: float = 1.0):
     a scalar bound says could carry that member more than ``_HEADROOM`` =
     2^480 from where the last rescale left it, and once after the last
     step.  Step k grows the larger member by at most a factor
-    max(1, 2 max|x| + 2k|t|) and shrinks it by at most
-    max(1, (2 max|x| + 1) / (2k|t|)), or max(1, 1 / (2 min|x|)) over
-    x != 0 at t = 0.  Power-of-two scaling is exact, so mantissa and log
-    scale are bit for bit those of rescaling after every step: rounding
-    is that of the plain recurrence, nothing overflows, and exact zeros
-    (odd n at x = 0) stay exact.  The two schedules can part only where a
-    real or imaginary part falls 2^542 below its pair's larger member,
-    which needs 0 < |x| below about 1e-120.  Subnormal input stays finite
-    and exact in log form: a pair whose larger member is subnormal is
-    multiplied by 2^1021 (its 2^-e is no float), and at t = 0 an x with
-    every entry subnormal runs multiplied by 2^1023, a power the log scale
-    takes back.  If one step alone could grow the pair past the headroom
-    (2 max|x| + 2(n - 1)|t| > 2^480, about 3e144), ``ValueError`` is
-    raised instead.
+    max(1, 2 max|x| + 2k max|t|) and shrinks it by at most the largest of
+    1, (2 max|x| + 1) / (2k|t|) at the smallest nonzero |t|, and, if some
+    t is 0, 1 / (2 min|x|) over x != 0.  Power-of-two scaling is exact,
+    so mantissa and log scale are bit for bit those of rescaling after
+    every step: rounding is that of the plain recurrence, nothing
+    overflows, and exact zeros (odd n at x = 0) stay exact.  The two
+    schedules can part only where a real or imaginary part falls 2^542
+    below its pair's larger member, which needs 0 < |x| below about
+    1e-120; elsewhere an element reads the bits of a call on its own
+    (x, t), whatever stands beside it.  Subnormal input stays finite and
+    exact in log form: a pair whose larger member is subnormal is
+    multiplied by 2^1021 (its 2^-e is no float), and with every t = 0 an
+    x with every entry subnormal runs multiplied by 2^1023, a power the
+    log scale takes back.  If one step alone could grow the pair past the
+    headroom (2 max|x| + 2(n - 1) max|t| > 2^480, about 3e144),
+    ``ValueError`` is raised instead.
 
     An array runs flattened, in blocks of ``_BLOCK`` elements that keep
     each step's passes in L2 cache.  The bounds, the overflow check and so
@@ -104,7 +108,19 @@ def hermite(n: int, x, t: float = 1.0):
         raise ValueError("Hermite order must be nonnegative")
     x = np.asarray(x)
     x = x.astype(np.result_type(x, float), copy=False)
-    if not (np.all(np.isfinite(x)) and math.isfinite(t)):
+    if isinstance(t, (int, float)) or not np.ndim(t):  # the isinstance keeps scalars fast
+        finite_t = math.isfinite(t)
+        t_max = abs(t)
+        t_min, t_zero = t_max or math.inf, not t
+    else:
+        t = np.asarray(t, dtype=float)
+        finite_t = bool(np.all(np.isfinite(t)))
+        x, t = np.broadcast_arrays(x, t)
+        t_mags = np.abs(t)
+        t_max = float(t_mags.max(initial=0.0))
+        t_min = float(t_mags.min(where=t_mags > 0.0, initial=math.inf))
+        t_zero = not t_mags.all()
+    if not (np.all(np.isfinite(x)) and finite_t):
         raise ValueError("Hermite argument must be finite")
     if x.ndim:
         maximum, frexp, ldexp = np.maximum, np.frexp, np.ldexp
@@ -117,20 +133,22 @@ def hermite(n: int, x, t: float = 1.0):
         x_max = abs(x)
         x_min = x_max or math.inf
     # (2x)^n at t = 0 with every x subnormal would underflow at step 1
-    lift = 1023 if t == 0.0 and 0.0 < x_max < _TINY else 0
+    lift = 1023 if t_max == 0.0 and 0.0 < x_max < _TINY else 0
     if lift:
         x, x_max, x_min = x * 2.0 ** lift, x_max * 2.0 ** lift, x_min * 2.0 ** lift
-    two_x_max, two_t = 2.0 * x_max, 2.0 * abs(t)
+    two_x_max, two_t = 2.0 * x_max, 2.0 * t_max
     if n > 1 and two_x_max + (n - 1) * two_t > _HEADROOM:
-        raise ValueError(f"Hermite order {n} at max|x| = {x_max:.6g}, t = {t:.6g} "
+        t_text = f"max|t| = {t_max:.6g}" if np.ndim(t) else f"t = {t:.6g}"
+        raise ValueError(f"Hermite order {n} at max|x| = {x_max:.6g}, {t_text} "
                          "could overflow between rescalings")
 
     # the schedule, from the bounds over the whole argument: every block follows it
-    shrink = (two_x_max + 1.0) / two_t if t else 0.5 / x_min  # divided by k at t != 0
+    shrink_t = (two_x_max + 1.0) / (2.0 * t_min)  # divided by k; 0 with no t != 0
+    shrink_0 = 0.5 / x_min if t_zero else 0.0
     room = max(1.0, two_x_max)  # bound on the larger member since the last rescale
     rescale_before = set()
     for k in range(1, n):
-        drift = max(1.0, two_x_max + k * two_t) * max(1.0, shrink / k if t else shrink)
+        drift = max(1.0, two_x_max + k * two_t) * max(1.0, shrink_t / k, shrink_0)
         # step 1 always starts from the exact pair (1, 2x)
         if k > 1 and room * drift > _HEADROOM:
             rescale_before.add(k)
@@ -146,7 +164,7 @@ def hermite(n: int, x, t: float = 1.0):
 
     minus_two_t = -2.0 * t
 
-    def recurrence(x, a, exponent):
+    def recurrence(x, minus_two_t, a, exponent):
         """(mantissa, binary exponent) of the pair's last member, from the
         start (a, exponent) = (1, 0) at x, under the schedule above."""
         two_x = 2.0 * x
@@ -165,13 +183,15 @@ def hermite(n: int, x, t: float = 1.0):
 
     if isinstance(x, np.ndarray):
         flat = x.ravel()
+        t_flat = minus_two_t.ravel() if isinstance(minus_two_t, np.ndarray) else None
         mant, exponent = np.empty_like(flat), np.empty(flat.shape, dtype=int)
         for start in range(0, flat.size, _BLOCK):
             block = slice(start, start + _BLOCK)
             part = flat[block]
-            mant[block], exponent[block] = recurrence(part, np.ones_like(part),
-                                                      np.zeros(part.shape, dtype=int))
+            mant[block], exponent[block] = recurrence(
+                part, minus_two_t if t_flat is None else t_flat[block],
+                np.ones_like(part), np.zeros(part.shape, dtype=int))
         mant, exponent = mant.reshape(x.shape), exponent.reshape(x.shape)
     else:
-        mant, exponent = recurrence(x, 1.0, 0)
+        mant, exponent = recurrence(x, minus_two_t, 1.0, 0)
     return mant, (exponent - n * lift) * math.log(2.0)

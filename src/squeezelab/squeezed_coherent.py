@@ -63,9 +63,10 @@ def wave_packet_center(beta: float, r: float) -> float:
     return math.sqrt(2.0) * math.exp(-r) * beta
 
 
-def fock_amplitude_scs(n: int, beta, r: float):
+def fock_amplitude_scs(n: int, beta, r):
     """<n | beta, r>: photon amplitude of a squeezed coherent state;
-    vectorized over beta.
+    vectorized over beta, and over r when ``r`` is an array that
+    broadcasts against beta.
 
     Evaluated as
 
@@ -77,14 +78,28 @@ def fock_amplitude_scs(n: int, beta, r: float):
     it polynomial in tanh r: r = 0 reduces to the coherent-state
     beta^n / sqrt(n!) e^{-|beta|^2/2} and r < 0 needs no complex branch.
     The rescaled recurrence keeps n in the hundreds, where H_n at small
-    argument overflows a plain float, in range.  Raises ValueError for
-    |r| > :data:`R_MAX`.
+    argument overflows a plain float, in range.  An array r runs in one
+    Hermite pass with t per element; cosh, tanh and log cosh come from
+    ``math`` once per distinct r, so each element reads the bits of a
+    call at its own scalar r.  Raises ValueError for |r| > :data:`R_MAX`.
     """
     if n < 0:
         raise ValueError("photon index must be nonnegative")
-    check_squeeze(r)
     beta = np.asarray(beta, dtype=complex)
-    ch, th = math.cosh(r), math.tanh(r)
+    if not isinstance(r, (int, float)) and np.ndim(r):  # the isinstance keeps scalars fast
+        r = np.asarray(r, dtype=float)
+        values, inverse = np.unique(r, return_inverse=True)
+        per_value = []
+        for v in values.tolist():
+            check_squeeze(v)
+            c = math.cosh(v)
+            per_value.append((c, math.tanh(v), math.log(c)))
+        table = np.reshape(per_value, (-1, 3))[inverse.reshape(r.shape)]
+        ch, th, log_ch = np.moveaxis(table, -1, 0)
+    else:
+        check_squeeze(r)
+        ch, th = math.cosh(r), math.tanh(r)
+        log_ch = math.log(ch)
     mant, log_scale = hermite(n, beta / (2.0 * ch), 0.5 * th)
     # From 256 KiB on, numpy reuses the exponential's temporary for the
     # product and computes it with the operands swapped.  Its complex
@@ -93,7 +108,7 @@ def fock_amplitude_scs(n: int, beta, r: float):
     # point in nine changes in its last bit if this product runs by rows.
     # Left whole, so every grid keeps the bytes it has printed so far.
     return mant * np.exp(log_scale - 0.5 * np.abs(beta) ** 2 + 0.5 * th * beta ** 2
-                         - 0.5 * (log_factorial(n) + math.log(ch)))
+                         - 0.5 * (log_factorial(n) + log_ch))
 
 
 def position_wf_scs(q, beta: float, r: float):

@@ -111,8 +111,7 @@ def suite_oracle() -> list[dict]:
         cols = _oracle_columns(ns, r)
         oracle = cols[:ns.size]
         jacobi = np.column_stack([fock_amplitude(ns, st) for st in states])
-        series = np.array([[genfun.extract_amplitude("fock", n, st).real for st in states]
-                           for n in ns])
+        series = genfun.fock_block(ns[-1], r, ns[-1])
         err_co.append(np.abs(jacobi - oracle))
         err_go.append(np.abs(series - oracle))
         err_cg.append(np.abs(jacobi - series))
@@ -138,15 +137,14 @@ def suite_oracle() -> list[dict]:
 
 def suite_genfun() -> list[dict]:
     err = []
+    routes = [("position", q, position_wf) for q in (-1.1, 0.0, 0.45)]
+    routes += [("momentum", p, momentum_wf) for p in (-2.0, 0.3)]
+    routes += [("coherent", alpha, coherent_amplitude) for alpha in (0.0, 0.7 - 0.4j, 1.2j)]
     for r in ORACLE_R_SET:
-        for m in range(13):
-            st = SqueezedNumberState(m, r)
-            err += [abs(genfun.extract_amplitude("position", q, st) - position_wf(q, st))
-                    for q in (-1.1, 0.0, 0.45)]
-            err += [abs(genfun.extract_amplitude("momentum", p, st) - momentum_wf(p, st))
-                    for p in (-2.0, 0.3)]
-            err += [abs(genfun.extract_amplitude("coherent", alpha, st)
-                        - coherent_amplitude(alpha, st)) for alpha in (0.0, 0.7 - 0.4j, 1.2j)]
+        for kind, value, closed_form in routes:
+            block = genfun.amplitude_block(kind, value, r, 12).tolist()
+            err += [abs(block[m] - closed_form(value, SqueezedNumberState(m, r)))
+                    for m in range(13)]
     checks = [_check("extraction matches closed forms", err, 1e-8)]
 
     rng = np.random.default_rng(20240817)
@@ -160,21 +158,17 @@ def suite_genfun() -> list[dict]:
         err.append(np.abs(lhs - genfun.exp_series(a + b)))
     checks.append(_check("exp(A) exp(B) = exp(A+B) coefficientwise", err, 1e-12))
 
-    err_id, err_nb = [], []
-    for n in range(9):
-        for m in range(9):
-            err_id.append(abs(genfun.extract_element(n, m, genfun.identity_kernel)
-                              - (1.0 if n == m else 0.0)))
-            err_nb.append(abs(genfun.extract_element(n, m, genfun.transformed_number_kernel)
-                              - (m if n == m else 0.0)))
+    ident = genfun.element_block(8, 8, genfun.identity_kernel).tolist()
+    number = genfun.element_block(8, 8, genfun.transformed_number_kernel).tolist()
+    err_id = [abs(ident[n][m] - (1.0 if n == m else 0.0)) for n in range(9) for m in range(9)]
+    err_nb = [abs(number[n][m] - (m if n == m else 0.0)) for n in range(9) for m in range(9)]
     checks.append(_check("identity kernel gives Kronecker delta", err_id, 1e-10))
     checks.append(_check("squeezed number kernel gives m delta", err_nb, 1e-10))
 
     r = 0.8
     num = np.arange(fock_oracle.default_dim(8, r))
     s = fock_oracle.oracle_amplitude(num[:, None], np.arange(9), r, 2 * len(num))
-    elem = np.array([[genfun.extract_element(n, m, genfun.photon_number_kernel(r))
-                      for m in range(9)] for n in range(9)])
+    elem = genfun.element_block(8, 8, genfun.photon_number_kernel(r))
     checks.append(_check("photon number kernel vs oracle sandwich",
                          np.abs(elem - s.T @ (num[:, None] * s)), 1e-8))
     return checks

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
+from squeezelab import analysis
 from squeezelab.analysis import (ScanError, find_maxima, maxima_count_law,
                                  momentum_density_table, momentum_zeros,
                                  position_density_table, q_slice_table,
@@ -348,6 +349,64 @@ def test_transition_scan_validation():
 ])
 def test_transition_scan_rejects_non_finite_range(r_lo, r_hi, step, name):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        transition_scan(3, r_lo, r_hi, step)
+
+
+def _scan_trace(m, r_lo, r_hi, step):
+    """transition_scan's trace, also where it raises ScanError."""
+    try:
+        return transition_scan(m, r_lo, r_hi, step).trace
+    except ScanError as err:
+        return err.trace
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_transition_scan_batched_trace_matches_per_r_slices(m):
+    # the batched passes against one q_slice_table + find_maxima per r, on a
+    # range through r = 0 (hit exactly at -0.5 + 10 * 0.05)
+    r_lo, r_hi, step = -0.5, 0.5 * math.log(m) + 0.8, 0.05
+    trace = _scan_trace(m, r_lo, r_hi, step)
+    rs = [r for r, _ in trace]
+    assert 0.0 in rs and rs[-1] == pytest.approx(r_hi, abs=step)
+    tables = [q_slice_table(SqueezedNumberState(m, r)) for r in rs]
+    assert trace == [(r, find_maxima(t, floor=0.1).count) for r, t in zip(rs, tables)]
+    for want, got in zip(tables, analysis._slice_tables(m, rs)):
+        assert np.array_equal(got.coords, want.coords)
+        assert np.array_equal(got.probs, want.probs)
+
+
+def test_transition_scan_negative_r_lo_runs_several_passes(monkeypatch):
+    # rows hold 200 e^{|r|} points and more at r < 0: below r = -2.3 one
+    # row alone passes _PASS_POINTS, so it runs in a pass of its own
+    passes = []
+    batched = analysis.fock_amplitude_scs
+
+    def recorded(n, beta, r):
+        passes.append((beta.size, len(np.unique(r))))
+        return batched(n, beta, r)
+
+    monkeypatch.setattr(analysis, "fock_amplitude_scs", recorded)
+    m, r_lo, r_hi, step = 3, -4.6, 1.8, 0.4
+    trace = _scan_trace(m, r_lo, r_hi, step)
+    rs = [r for r, _ in trace]
+    assert trace == [(r, find_maxima(q_slice_table(SqueezedNumberState(m, r)),
+                                     floor=0.1).count) for r in rs]
+    assert len(passes) > 2 and sum(rows for _, rows in passes) == len(rs)
+    assert passes[0][1] == 1 and passes[0][0] > analysis._PASS_POINTS
+    assert all(size <= analysis._PASS_POINTS for size, rows in passes if rows > 1)
+    assert max(rows for _, rows in passes) > 1
+
+
+@pytest.mark.parametrize("r_lo, r_hi, step, r", [(0.1, 1000.0, 800.0, 800.1),
+                                                  (-800.0, 1.0, 400.0, 800.0)])
+def test_transition_scan_refuses_an_r_past_the_squeeze_limit(monkeypatch, r_lo, r_hi, step, r):
+    # e^r overflowed (OverflowError) or the grid step underflowed to 0
+    # (ZeroDivisionError); now every r is checked before any slice runs
+    def no_slice(*args):
+        raise AssertionError("a slice ran before the range was checked")
+
+    monkeypatch.setattr(analysis, "fock_amplitude_scs", no_slice)
+    with pytest.raises(ValueError, match=rf"^\|r\| = {r} exceeds 354.891"):
         transition_scan(3, r_lo, r_hi, step)
 
 

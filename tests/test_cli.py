@@ -294,6 +294,12 @@ def test_maxima_command_photon_unsqueezed(capsys, m):
      "--floor must be finite, got inf"),
     (("transition", "--m", "3", "--r-lo", "0.1", "--r-hi", "1.0", "--prominence", "inf"),
      "--prominence must be finite, got inf"),
+    # scanned r past the squeeze limit, which raised OverflowError and
+    # ZeroDivisionError (exit 1)
+    (("transition", "--m", "3", "--r-lo", "0.1", "--r-hi", "1000", "--step", "800"),
+     "|r| = 800.1 exceeds 354.891"),
+    (("transition", "--m", "3", "--r-lo=-800", "--r-hi", "1", "--step", "400"),
+     "|r| = 800.0 exceeds 354.891"),
 ])
 def test_nan_arguments_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

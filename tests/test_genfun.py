@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squeezelab.fock_oracle import default_dim, oracle_amplitude
-from squeezelab.genfun import (exp_series, extract_amplitude, extract_element,
+from squeezelab.genfun import (amplitude_block, element_block, exp_series,
+                               extract_amplitude, extract_element, fock_block,
                                identity_kernel, photon_number_kernel, series,
                                series_mul, transformed_number_kernel)
 from squeezelab.squeezed_number import (SqueezedNumberState, coherent_amplitude,
@@ -324,3 +325,84 @@ def test_extract_element_photon_number_analytic():
             else:
                 want = 0.0
             assert got == pytest.approx(want, abs=1e-12)
+
+
+# ------------------------------------------------------------------- blocks
+
+BLOCK_R_SET = (0.3, 0.973, 1.4, -0.8, 0.0)
+VALUES = {"position": (-1.1, 0.0, 0.45), "momentum": (-2.0, 0.3),
+          "coherent": (0.0, 0.7 - 0.4j, 1.2j)}
+
+
+def _same(a, b):
+    """Bit for bit, sign of zero included."""
+    return np.array_equal(np.atleast_1d(a).view(np.int64), np.atleast_1d(b).view(np.int64))
+
+
+@pytest.mark.parametrize("r", BLOCK_R_SET)
+def test_block_entries_do_not_depend_on_the_block_size(r):
+    fock = fock_block(12, r, 12)
+    for n in range(13):
+        for m in range(13):
+            assert _same(fock_block(n, r, m), fock[:n + 1, :m + 1])
+        assert _same(amplitude_block("fock", n, r, 12), fock[n].astype(complex))
+    for kind, values in VALUES.items():
+        for value in values:
+            block = amplitude_block(kind, value, r, 12)
+            for m in range(13):
+                assert _same(amplitude_block(kind, value, r, m), block[:m + 1])
+                assert _same(extract_amplitude(kind, value, SqueezedNumberState(m, r)), block[m])
+    for kernel in (identity_kernel, transformed_number_kernel, photon_number_kernel(r)):
+        block = element_block(8, 8, kernel)
+        for n in range(9):
+            for m in range(9):
+                assert _same(element_block(n, m, kernel), block[:n + 1, :m + 1])
+                assert _same(extract_element(n, m, kernel), block[n, m])
+
+
+@pytest.mark.parametrize("r", BLOCK_R_SET)
+def test_blocks_match_the_closed_forms_oracle_and_jacobi_column(r):
+    # within the limits of the verify suites: 1e-8, 1e-10 for the r-free kernels
+    ns = np.arange(13)
+    fock = fock_block(12, r, 12)
+    jacobi = np.column_stack([fock_amplitude(ns, SqueezedNumberState(int(m), r)) for m in ns])
+    assert np.abs(fock - jacobi).max() < 1e-8
+    assert np.abs(fock - oracle_amplitude(ns[:, None], ns, r)).max() < 1e-8
+    for kind, closed_form in (("position", position_wf), ("momentum", momentum_wf),
+                              ("coherent", coherent_amplitude)):
+        for value in VALUES[kind]:
+            block = amplitude_block(kind, value, r, 12)
+            want = [closed_form(value, SqueezedNumberState(m, r)) for m in range(13)]
+            assert np.abs(block - np.array(want)).max() < 1e-8
+    eye = np.eye(9)
+    assert np.abs(element_block(8, 8, identity_kernel) - eye).max() < 1e-10
+    assert np.abs(element_block(8, 8, transformed_number_kernel)
+                  - eye * np.arange(9)).max() < 1e-10
+    num = np.arange(default_dim(8, r))
+    s = oracle_amplitude(num[:, None], np.arange(9), r, 2 * len(num))
+    assert np.abs(element_block(8, 8, photon_number_kernel(r))
+                  - s.T @ (num[:, None] * s)).max() < 1e-8
+
+
+@pytest.mark.parametrize("r", [400.0, 800.0, -800.0])
+def test_series_routes_refuse_a_squeeze_past_float_range(r):
+    # position raised OverflowError at 400; fock, momentum and coherent
+    # returned about 1e-261 there, and momentum 0j at 800
+    calls = [(fock_block, 2, r, 1), (photon_number_kernel, r)]
+    for kind, value in (("fock", 1), ("position", 0.3), ("momentum", 0.3), ("coherent", 0.5j)):
+        calls += [(extract_amplitude, kind, value, SqueezedNumberState(1, r)),
+                  (amplitude_block, kind, value, r, 1)]
+    for call, *args in calls:
+        with pytest.raises(ValueError, match="exceeds 354.891"):
+            call(*args)
+
+
+def test_blocks_refuse_a_bad_index():
+    with pytest.raises(ValueError, match="row index n must be an integer"):
+        fock_block(2.0, 0.5, 3)
+    with pytest.raises(ValueError, match="column index m must be nonnegative"):
+        fock_block(2, 0.5, -1)
+    with pytest.raises(ValueError, match="state index m must be an integer"):
+        amplitude_block("position", 0.3, 0.5, True)
+    with pytest.raises(ValueError, match="column index m must be an integer"):
+        element_block(2, 1.0, identity_kernel)

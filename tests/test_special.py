@@ -182,6 +182,46 @@ def test_hermite_blocks_bit_identical_to_the_whole_array(shape, dtype):
             assert np.array_equal(log_scale, ref_log_scale)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermite_array_t_matches_scalar_t_calls(dtype):
+    # t per element, t = 0 among them: the bounds take max|t|, the smallest
+    # nonzero |t| and the t = 0 rule, and each element reads the bits of a
+    # call at its own t
+    x = _blocked_argument((3 * special._BLOCK + 5,), dtype)
+    t = np.resize(HERMITE_TS, x.shape)
+    for n in (0, 1, 2, 7, 300):
+        mant, log_scale = hermite(n, x, t)
+        ref_mant, ref_log_scale = hermite_rescaled_every_step(n, x, t)
+        assert np.array_equal(mant, ref_mant) and np.array_equal(log_scale, ref_log_scale)
+        for value in HERMITE_TS:
+            at = t == value
+            one_mant, one_log_scale = hermite(n, x[at], value)
+            assert np.array_equal(mant[at], one_mant)
+            assert np.array_equal(log_scale[at], one_log_scale)
+        if dtype is float:
+            for i in range(0, x.size, 997):
+                assert (mant[i], log_scale[i]) == hermite(n, float(x[i]), float(t[i]))
+
+
+def test_hermite_t_broadcasts_against_x():
+    x = np.array([[0.3 - 1.2j], [2.5 + 0.1j], [0.0j]])
+    t = np.array([0.0, -0.4, 1.0, 0.1])
+    mant, log_scale = hermite(9, x, t)
+    assert mant.shape == log_scale.shape == (3, 4)
+    for j, value in enumerate(t):
+        want_mant, want_log_scale = hermite(9, x[:, 0], value)
+        assert np.array_equal(mant[:, j], want_mant)
+        assert np.array_equal(log_scale[:, j], want_log_scale)
+    assert np.array_equal(hermite(4, 0.7, t)[0], [hermite(4, np.array([0.7]), v)[0][0] for v in t])
+
+
+def test_hermite_array_t_overflow_and_bad_args_raise():
+    with pytest.raises(ValueError, match=r"order 5 at max\|x\| = 2, max\|t\| = 1e\+300"):
+        hermite(5, np.array([0.5, 2.0]), np.array([0.1, -1e300]))
+    with pytest.raises(ValueError, match="must be finite"):
+        hermite(3, 0.5, np.array([0.1, math.nan]))
+
+
 def test_hermite_overflow_in_the_last_block_raises_before_any_block(monkeypatch):
     x = np.full(3 * special._BLOCK + 5, 0.5)
     x[-1] = -1e200

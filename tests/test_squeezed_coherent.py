@@ -191,6 +191,25 @@ def test_fock_amplitude_scs_takes_arrays(r):
     assert fock_amplitude_scs(3, beta.reshape(2, 3), r).shape == (2, 3)
 
 
+def test_fock_amplitude_scs_array_r_matches_scalar_r_calls():
+    # r per point, r = 0 and both signs among them: each point reads the
+    # bits of a call at its own scalar r
+    rng = np.random.default_rng(7)
+    beta = rng.uniform(-3.0, 3.0, 600) + 1j * rng.uniform(-3.0, 3.0, 600)
+    rs = [0.0, 0.3, 0.973, 1.4, -0.8, -2.0]
+    r = np.resize(rs, beta.shape)
+    for n in (0, 1, 5, 12, 40):
+        got = fock_amplitude_scs(n, beta, r)
+        for value in rs:
+            assert np.array_equal(got[r == value], fock_amplitude_scs(n, beta[r == value], value))
+    grid = fock_amplitude_scs(3, beta[:5, None], np.array(rs))
+    assert grid.shape == (5, len(rs))
+    for j, value in enumerate(rs):
+        assert np.array_equal(grid[:, j], fock_amplitude_scs(3, beta[:5], value))
+    with pytest.raises(ValueError, match="354.891"):
+        fock_amplitude_scs(1, beta[:2], np.array([0.5, -400.0]))
+
+
 def test_quadrature_wfs_reject_complex_displacement():
     with pytest.raises(ValueError):
         position_wf_scs(0.1, 0.5 + 0.2j, 0.3)

@@ -119,14 +119,20 @@ def _at(m, r):
 
 
 def _nan_from(route, hit):
-    """``route`` with its answer made NaN on the calls where ``hit`` holds."""
+    """``route`` with its answer made NaN on the calls where ``hit`` holds:
+    all of it where hit returns True, only the entries it returns otherwise."""
     def poisoned(*args, **kwargs):
         out = route(*args, **kwargs)
-        if not hit(*args):
+        where = hit(*args)
+        if where is False:
             return out
         if hasattr(out, "probs"):  # a photon table, which itself rejects NaN
             return types.SimpleNamespace(probs=out.probs * math.nan, meta=out.meta)
-        return out * math.nan
+        if where is True:
+            return out * math.nan
+        out = out.copy()
+        out[where] = math.nan
+        return out
     return poisoned
 
 
@@ -136,8 +142,9 @@ JACOBI_SERIES = "Jacobi recurrence vs series extraction"
 EXTRACTION = "extraction matches closed forms"
 FOURIER = "momentum wf is the Fourier transform of position wf"
 
-# (suite, module, route, the calls it answers with NaN, the checks that must
-# fail): each NaN lands at a state after the first of every check it reaches
+# (suite, module, route, the calls it answers with NaN or the entries of its
+# answer it makes NaN, the checks that must fail): each NaN lands at a state or
+# entry after the first of every check it reaches
 NAN_ROUTES = [
     ("normalization", verify, "photon_distribution", _at(1, 1.4),
      {"photon distributions sum to 1"}),
@@ -154,12 +161,14 @@ NAN_ROUTES = [
      {JACOBI_ORACLE, SERIES_ORACLE, "oracle columns are orthonormal"}),
     ("oracle", verify, "_oracle_columns", lambda ms, r: list(ms) == [100],
      {"Jacobi recurrence vs oracle column at (60, 1), (100, 0.5), (40, 2)"}),
-    ("oracle", genfun, "extract_amplitude", _at(5, 0.973), {SERIES_ORACLE, JACOBI_SERIES}),
+    ("oracle", genfun, "fock_block", lambda n, r, m: r == 0.973 and np.s_[:, 5],
+     {SERIES_ORACLE, JACOBI_SERIES}),
     ("genfun", verify, "position_wf", _at(5, 0.973), {EXTRACTION}),
     ("genfun", verify, "momentum_wf", _at(5, 0.973), {EXTRACTION}),
     ("genfun", verify, "coherent_amplitude", _at(5, 0.973), {EXTRACTION}),
-    ("genfun", genfun, "extract_amplitude", _at(5, 0.973), {EXTRACTION}),
-    ("genfun", genfun, "extract_element", lambda n, m, kernel: (n, m) == (3, 3),
+    ("genfun", genfun, "amplitude_block", lambda kind, value, r, m: r == 0.973 and 5,
+     {EXTRACTION}),
+    ("genfun", genfun, "element_block", lambda n, m, kernel: (3, 3),
      {"identity kernel gives Kronecker delta", "squeezed number kernel gives m delta",
       "photon number kernel vs oracle sandwich"}),
     ("fourier", verify, "position_wf", _at(3, 1.5), {FOURIER}),
