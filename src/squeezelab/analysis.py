@@ -124,29 +124,48 @@ def _sampled_table(density, scale: float, half_width: float) -> DistributionTabl
 
 
 def position_density_table(state: SqueezedNumberState) -> DistributionTable:
-    """|<q|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^{-r})."""
+    """|<q|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^{-r});
+    ValueError for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX`."""
+    check_squeeze(state.r)
     scale = math.exp(-state.r)
     return _sampled_table(lambda q: position_wf(q, state) ** 2, scale,
                           scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
 def momentum_density_table(state: SqueezedNumberState) -> DistributionTable:
-    """|<p|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^r)."""
+    """|<p|m,r>|^2 sampled on a symmetric uniform grid (step 0.01 e^r);
+    ValueError for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX`."""
+    check_squeeze(state.r)
     scale = math.exp(state.r)
     return _sampled_table(lambda p: np.abs(momentum_wf(p, state)) ** 2,
                           scale, scale * (math.sqrt(2.0 * state.m + 1.0) + 4.0))
 
 
+# most folded points |y| = step * k, k = 0..n, of one Q slice: there are
+# about 100 sqrt(m + 1/2) + 200 e^{-r}, passing the cap near r = -10.64 at
+# m = 0, where the slice's ~140 bytes a point peak near 1.2 GB
+_SLICE_POINTS = 2 ** 23
+
+
 def _slice_grid(m: int, r: float) -> tuple[float, int]:
     """(step, n) of the Q slice grid step * arange(-n, n + 1): step 0.01 e^r
-    out to e^r sqrt(m + 1/2) + 2."""
+    out to e^r sqrt(m + 1/2) + 2.  ValueError, before anything is allocated,
+    for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX` and for more
+    than ``_SLICE_POINTS`` folded points."""
+    check_squeeze(r)
     scale = math.exp(r)
     step = 0.01 * scale
-    return step, int(math.ceil((scale * math.sqrt(m + 0.5) + 2.0) / step))
+    n = int(math.ceil((scale * math.sqrt(m + 0.5) + 2.0) / step))
+    if n + 1 > _SLICE_POINTS:
+        raise ValueError(f"the Q slice at m={m}, r={r} needs {n + 1} folded points, "
+                         f"past the cap of {_SLICE_POINTS}")
+    return step, n
 
 
 def q_slice_table(state: SqueezedNumberState) -> DistributionTable:
-    """Husimi Q along the imaginary axis on a symmetric uniform grid (step 0.01 e^r)."""
+    """Husimi Q along the imaginary axis on a symmetric uniform grid (step 0.01 e^r);
+    ValueError for |r| past :data:`~squeezelab.squeezed_coherent.R_MAX` and
+    for a grid of more than ``_SLICE_POINTS`` = 2^23 points per half."""
     step, n = _slice_grid(state.m, state.r)
     grid = step * np.arange(-n, n + 1)
     return DistributionTable(grid, q_slice_imag(grid, state))
@@ -206,8 +225,10 @@ def momentum_zeros(state: SqueezedNumberState, tol: float = 1e-12) -> np.ndarray
     reports exact signs, so each root is bracketed on a scan grid and then
     all brackets are bisected together to ``tol`` in the Hermite argument,
     or until their ends are adjacent doubles.  Raises ``ValueError`` for a
-    negative or nan ``tol``.
+    negative or nan ``tol`` and for |r| past
+    :data:`~squeezelab.squeezed_coherent.R_MAX`.
     """
+    check_squeeze(state.r)
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
     m, r = state.m, state.r
@@ -252,10 +273,10 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
     trace attached) when the count never stabilizes in range, or when it
     is already stable at r_lo so the transition lies below the window.
     Raises ``ValueError`` unless r_lo, r_hi, step and prominence are
-    finite, and, before any slice runs, for a scanned r past
-    :data:`~squeezelab.squeezed_coherent.R_MAX` in magnitude.  Each count
-    is that of :func:`find_maxima` on :func:`q_slice_table` at (m, r),
-    but the slices of many r are evaluated in one batched pass.
+    finite, and, before any slice runs, for a scanned r whose slice grid
+    :func:`q_slice_table` refuses.  Each count is that of
+    :func:`find_maxima` on :func:`q_slice_table` at (m, r), but the slices
+    of many r are evaluated in one batched pass.
     """
     if m < 2:
         raise ValueError("transition scan needs m >= 2")
@@ -272,8 +293,6 @@ def transition_scan(m: int, r_lo: float, r_hi: float, step: float,
     # the 1e-9 keeps r_hi on the grid when (r_hi - r_lo) / step lands just below
     # an integer, as (0.7 - 0.1) / 0.1 = 5.999999999999999 does
     rs = [r_lo + i * step for i in range(math.floor((r_hi - r_lo) / step + 1e-9) + 1)]
-    for r in rs:
-        check_squeeze(r)
     counts = [find_maxima(table, floor=prominence).count for table in _slice_tables(m, rs)]
     trace = list(zip(rs, counts))
     start = None

@@ -3,9 +3,12 @@
 Amplitudes are columns S|m> of the squeeze unitary: the action of the
 exponential of its quadratic generator on a unit vector, by a Chebyshev
 expansion of the propagator, applied in stages of about 0.1 in r on
-bases that grow with the squeeze.  Nothing here shares code with the
+bases that grow with the squeeze.  Nothing here shares numerics with the
 closed forms or the series engine, which is the point: agreement between
-all three routes is the library's main correctness argument.
+all three routes is the library's main correctness argument.  It takes
+only the domain rule every route shares from them: each entry point calls
+:func:`~squeezelab.squeezed_coherent.check_squeeze` first, a check on the
+input that computes nothing, so the columns stay independent.
 
 A column whose squeezed image (reach ~ e^{2r}) meets the edge of any
 stage's basis raises instead of returning silently wrong numbers.  One
@@ -20,6 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .squeezed_coherent import check_squeeze
 
 __all__ = ["FockMatrix", "TrustRegionError", "default_dim", "trusted_dim",
            "build_squeeze", "oracle_amplitude", "bogoliubov_residual"]
@@ -45,6 +50,7 @@ def default_dim(m: int, r: float) -> int:
     the cutoff.  ``verify``'s oracle suite sizes its bases from the photon
     cutoff instead, at about two thirds of this.
     """
+    check_squeeze(r)
     return max(64, math.ceil((m + 10) * math.exp(2.0 * abs(r)) * 4.0))
 
 
@@ -56,6 +62,7 @@ def trusted_dim(dim: int, r: float) -> int:
     so the safe block scales as dim e^{-2|r|}; halving that sits inside the
     measured onset of 1e-8 contamination (the flat 80% cap rules at small r).
     """
+    check_squeeze(r)
     return min(math.floor(0.8 * dim), math.floor(dim * math.exp(-2.0 * abs(r)) / 2.0))
 
 
@@ -204,6 +211,7 @@ def oracle_amplitude(n, m, r: float, dim: int | None = None):
     stage of the squeeze: its top eighth, and at least its top two rows,
     so that a basis of under 16 rows still has an edge of each parity.
     """
+    check_squeeze(r)
     n, m = np.broadcast_arrays(np.asarray(n), np.asarray(m))
     if n.dtype.kind not in "iu" or m.dtype.kind not in "iu":
         raise ValueError("indices must be integers")
@@ -251,6 +259,7 @@ def bogoliubov_residual(r: float, dim: int, block: int | None = None) -> float:
     Decays with growing dim at fixed block, which is the convergence
     argument for the truncated generator.
     """
+    check_squeeze(r)
     if dim < 8:
         raise ValueError("dim must be at least 8")
     if block is None:

@@ -27,7 +27,6 @@ __all__ = [
     "wave_packet_center",
 ]
 
-R_EPS = 1e-12  # |r| below this is treated as no squeezing at all
 R_MAX = 0.5 * math.log(sys.float_info.max)  # about 354.89: e^{2|r|} overflows past it
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .special import hermite, log_factorial
-from .squeezed_coherent import R_EPS, check_squeeze, fock_amplitude_scs
+from .squeezed_coherent import check_squeeze, fock_amplitude_scs
 from .tables import DistributionTable, GridSpec, TableMeta
 
 TAIL_EPS = 1e-10  # default tail mass left out of the photon distribution
@@ -99,15 +99,12 @@ def _column(state: SqueezedNumberState, rows: int) -> np.ndarray:
     S(r)^T = S(-r) gives <p + 2i | m, r> = (-1)^{j-i} times the step-i value
     at d = j - i.  Each offset carries its own power-of-two exponent,
     rescaled every 16 steps, so tau^d underflows nowhere, and no row depends
-    on another: a row is bit for bit the same whatever ``rows`` is.
+    on another: a row is bit for bit the same whatever ``rows`` is.  At
+    r = 0 the same recurrence gives the Kronecker delta exactly: every G_i
+    stays 1 and every factor of tau is a signed zero.
     """
     m, r = state.m, state.r
     p, j = m % 2, m // 2
-    if abs(r) < R_EPS:
-        col = np.zeros(rows)
-        if j < rows:
-            col[j] = 1.0
-        return col
     tau = math.tanh(r)
     near_one = tau * tau < 0.25
     small = tau * tau if near_one else math.cosh(r) ** -2
@@ -175,7 +172,8 @@ def fock_amplitude(n, state: SqueezedNumberState):
     Every row is computed on its own, so a row reads the same whatever else
     is requested, and the squares are the probabilities of
     :func:`photon_distribution` bit for bit.  Mixed parity gives an exact
-    0.0 and r = 0 the Kronecker delta.  Raises ValueError for |r| past
+    0.0; r = 0 runs the same recurrence and gives the Kronecker delta
+    exactly, some zeros as -0.0.  Raises ValueError for |r| past
     :data:`~squeezelab.squeezed_coherent.R_MAX`.
     """
     n = np.asarray(n)
@@ -199,9 +197,10 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
     1 - tail_eps AND the last ceil(10 e^{2|r|}) same-parity probabilities
     are nonincreasing, those below eps^2 taken as zero.  The second
     condition keeps the truncation from stopping inside a trough of the
-    oscillating distribution.  At r = 0 the cutoff is m.  Rows of the
-    opposite parity are kept as explicit zeros so the table plots with the
-    true comb structure.
+    oscillating distribution.  At r = 0, whose column runs the same
+    recurrence, the cutoff is m; every other squeeze, however small, takes
+    the window rule.  Rows of the opposite parity are kept as explicit
+    zeros so the table plots with the true comb structure.
 
     The amplitudes of one parity (see :func:`_column`) are computed from
     row 0 in one block through the outer turning point
@@ -229,7 +228,7 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
         raise ValueError("tail_eps must lie in [1e-14, 1): the float64 mass "
                          "of the distribution cannot resolve less")
     try:
-        cap = operator.index(hard_cap)
+        cap = -1 if isinstance(hard_cap, bool) else operator.index(hard_cap)
     except TypeError:
         cap = -1
     if cap < 0:
@@ -242,7 +241,7 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
     # the clipped exponent keeps 10 e^{2|r|} from overflowing
     stretch = math.exp(min(2.0 * abs(r), math.log(max(cap_rows, 1))))
     window = math.ceil(10.0 * stretch)
-    if abs(r) >= R_EPS and window > cap_rows:
+    if r and window > cap_rows:
         raise NonConvergenceError(
             f"photon distribution for m={m}, r={r} did not converge within the cutoff "
             f"cap {hard_cap}: the window of ceil(10 e^(2|r|)) same-parity rows is wider")
@@ -256,7 +255,7 @@ def photon_distribution(state: SqueezedNumberState, tail_eps: float = TAIL_EPS,
         probs = _column(state, block) ** 2
         cum = np.cumsum(probs)
         fires = cum >= 1.0 - tail_eps
-        if abs(r) >= R_EPS:  # at r = 0 the mass is exhausted at row m // 2
+        if r:  # at r = 0 the mass is exhausted at row m // 2
             # a probability below eps^2 lies below what a float64 column of
             # mass 1 resolves, so a rise between two such values says nothing
             p = np.where(probs > np.finfo(float).eps ** 2, probs, 0.0)

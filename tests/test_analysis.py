@@ -410,6 +410,41 @@ def test_transition_scan_refuses_an_r_past_the_squeeze_limit(monkeypatch, r_lo, 
         transition_scan(3, r_lo, r_hi, step)
 
 
+def _no_slice(*args):
+    raise AssertionError("a slice ran before its grid was checked")
+
+
+def test_slice_grid_past_the_point_cap_raises_before_any_slice(monkeypatch):
+    # 100 sqrt(m + 1/2) + 200 e^{-r} folded points: 2.1e15 at (3, -30)
+    monkeypatch.setattr(analysis, "fock_amplitude_scs", _no_slice)
+    message = r"Q slice at m=3, r=-30.0 needs 2137294916305080 folded points"
+    with pytest.raises(ValueError, match=message):
+        q_slice_table(SqueezedNumberState(3, -30.0))
+    with pytest.raises(ValueError, match=message):
+        transition_scan(3, -30.0, 1.0, 1.0)
+
+
+def test_slice_grid_cap_lies_past_r_minus_10_6():
+    # sizing only, nothing is allocated: the cap of 2^23 folded points is
+    # passed between r = -10.64 and -10.65 at m = 0
+    step, n = analysis._slice_grid(0, -10.64)
+    assert n + 1 <= analysis._SLICE_POINTS == 2 ** 23
+    with pytest.raises(ValueError, match="folded points"):
+        analysis._slice_grid(0, -10.65)
+
+
+@pytest.mark.parametrize("r", [400.0, -400.0, 800.0, -800.0, math.nan, math.inf])
+def test_sampled_tables_refuse_a_squeeze_past_the_limit(monkeypatch, r):
+    # past the limit e^{+-r} overflows or the grid step underflows to 0;
+    # a nan or infinite r is refused by the state itself
+    monkeypatch.setattr(analysis, "fock_amplitude_scs", _no_slice)
+    for table_of in (position_density_table, momentum_density_table, q_slice_table,
+                     momentum_zeros):
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="exceeds 354.891|must be finite"):
+                table_of(SqueezedNumberState(m, r))
+
+
 # -------------------------------------------------------- correspondences
 
 def test_qmax_to_nmax_empty_for_vacuum():

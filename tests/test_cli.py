@@ -51,6 +51,17 @@ def test_photon_csv_structure(capsys, tmp_path):
     assert lines[-1] == "0,1"
 
 
+@pytest.mark.parametrize("r", ["0", "-0.0"])
+@pytest.mark.parametrize("m", [0, 1, 5, 12, 300])
+def test_photon_at_r_zero_prints_the_kronecker_table(capsys, m, r):
+    code, out, err = run(capsys, "photon", "--m", str(m), "--r", r)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert json.loads(lines[2][2:]) == {"cumulative": 1.0, "cutoff": m,
+                                        "tail_eps": 1e-10, "window": 10}
+    assert lines[3:] == ["n,probability"] + [f"{n},{int(n == m)}" for n in range(m + 1)]
+
+
 def test_photon_output_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cli.main(["photon", "--m", "7", "--r", "1.4", "--out", str(a)])
@@ -300,6 +311,12 @@ def test_maxima_command_photon_unsqueezed(capsys, m):
      "|r| = 800.1 exceeds 354.891"),
     (("transition", "--m", "3", "--r-lo=-800", "--r-hi", "1", "--step", "400"),
      "|r| = 800.0 exceeds 354.891"),
+    # a slice grid of 2.1e15 folded points (34 PB as complex), refused
+    # before anything is allocated
+    (("maxima", "--representation", "qslice", "--m", "3", "--r=-30"),
+     "the Q slice at m=3, r=-30.0 needs 2137294916305080 folded points"),
+    (("transition", "--m", "3", "--r-lo=-30", "--r-hi", "1", "--step", "1"),
+     "the Q slice at m=3, r=-30.0 needs 2137294916305080 folded points"),
 ])
 def test_nan_arguments_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -171,6 +171,27 @@ def test_oracle_amplitude_matches_closed_form_spec_point():
     assert got == pytest.approx(want, abs=1e-8)
 
 
+@pytest.mark.parametrize("r", [1e-13, 5e-13, -5e-13])
+@pytest.mark.parametrize("m", [0, 1, 5, 12])
+def test_tiny_squeeze_column_matches_the_oracle(m, r):
+    # the Jacobi column runs its recurrence at every r, however small:
+    # the rows differ from the oracle's by at most 6.5e-24 here
+    n = np.arange(30)
+    got = fock_amplitude(n, SqueezedNumberState(m, r))
+    assert np.abs(got - oracle_amplitude(n, m, r, dim=80)).max() < 1e-22
+
+
+@pytest.mark.parametrize("r", [400.0, -400.0, math.nan, math.inf, -math.inf])
+def test_oracle_refuses_a_squeeze_past_the_limit(r):
+    # the one |r| limit of every route, checked before any basis is sized
+    for call in (lambda: default_dim(3, r), lambda: trusted_dim(100, r),
+                 lambda: build_squeeze(r, 64), lambda: oracle_amplitude(1, 3, r),
+                 lambda: oracle_amplitude(1, 3, r, dim=80),
+                 lambda: bogoliubov_residual(r, 64), lambda: bogoliubov_residual(r, 64, 8)):
+        with pytest.raises(ValueError, match="exceeds 354.891"):
+            call()
+
+
 def test_oracle_amplitude_refuses_non_integer_indices():
     for n, m in ((5.0, 7), (5, 7.0), (np.array([1.0, 3.0]), 7)):
         with pytest.raises(ValueError, match="integers"):

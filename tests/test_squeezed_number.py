@@ -41,6 +41,14 @@ def test_fock_amplitude_identity_at_r_zero():
             assert fock_amplitude(n, st) == (1.0 if n == m else 0.0)
 
 
+@pytest.mark.parametrize("r", [0.0, -0.0])
+@pytest.mark.parametrize("m", [0, 1, 5, 12, 300])
+def test_r_zero_runs_the_recurrence_to_the_kronecker_column(m, r):
+    # tau = 0 leaves the delta exactly, up to signed zeros
+    n = np.arange(m + 41)
+    assert np.array_equal(fock_amplitude(n, SqueezedNumberState(m, r)), n == m)
+
+
 def test_fock_amplitude_refuses_non_integer_indices():
     st = SqueezedNumberState(7, 1.4)
     for n in (5.0, 3.9, np.array([1.0, 3.0]), [1, 2.5], True):
@@ -127,7 +135,8 @@ def test_photon_distribution_nonconvergence_error():
         photon_distribution(SqueezedNumberState(1, 0.0), hard_cap=0)
 
 
-@pytest.mark.parametrize("r, cap", [(0.0, -5), (0.5, -5), (0.5, 2.5), (0.5, np.int64(-5))])
+@pytest.mark.parametrize("r, cap", [(0.0, -5), (0.5, -5), (0.5, 2.5), (0.5, np.int64(-5)),
+                                    (0.0, True), (0.5, True), (0.5, False)])
 def test_photon_distribution_rejects_a_cap_that_is_no_nonnegative_integer(r, cap):
     # r = 0 and r > 0 take different paths to the cutoff; the check comes first
     with pytest.raises(ValueError, match="hard_cap must be a nonnegative integer"):
@@ -348,11 +357,6 @@ def column_expression_form(state, rows):
     recurrence written as array expressions, a new array per operation."""
     m, r = state.m, state.r
     p, j = m % 2, m // 2
-    if abs(r) < squeezed_number.R_EPS:
-        col = np.zeros(rows)
-        if j < rows:
-            col[j] = 1.0
-        return col
     tau = math.tanh(r)
     near_one = tau * tau < 0.25
     small = tau * tau if near_one else math.cosh(r) ** -2
@@ -399,9 +403,11 @@ def column_expression_form(state, rows):
     return np.concatenate((lower[:rows], upper))
 
 
-# tau^2 = 1/4 at |r| = atanh(1/2) = 0.5493: the recurrence switches ends there
+# tau^2 = 1/4 at |r| = atanh(1/2) = 0.5493: the recurrence switches ends there;
+# r = 0 and the tiniest squeezes run the same recurrence
 column_r = hst.one_of(
-    hst.sampled_from([0.5493, -0.5493, 0.5494, -0.5494, 1e-7, -1e-7, 1.4, -2.0]),
+    hst.sampled_from([0.5493, -0.5493, 0.5494, -0.5494, 1e-7, -1e-7, 1.4, -2.0,
+                      0.0, -0.0, 5e-13, -1e-300]),
     hst.floats(min_value=0.01, max_value=3.0).flatmap(
         lambda a: hst.sampled_from([a, -a])))
 
